@@ -98,47 +98,6 @@ std::vector<T> read_array(std::istream& in, std::uint64_t count) {
   return data;
 }
 
-/// v1 layout helper: u64 count, then the elements.
-template <typename T>
-void write_vector_v1(std::ostream& out, const std::vector<T>& data) {
-  write_pod<std::uint64_t>(out, data.size());
-  write_array(out, data.data(), data.size());
-}
-
-template <typename T>
-std::vector<T> read_vector_v1(std::istream& in) {
-  return read_array<T>(in, read_pod<std::uint64_t>(in));
-}
-
-Graph read_binary_graph_v1(std::istream& in) {
-  const auto num_vertices = read_pod<std::uint32_t>(in);
-  const auto from = read_vector_v1<std::uint32_t>(in);
-  const auto to = read_vector_v1<std::uint32_t>(in);
-  const auto weight = read_vector_v1<std::uint32_t>(in);
-  if (from.size() != to.size() || from.size() != weight.size()) {
-    throw std::runtime_error("binary graph: inconsistent edge arrays");
-  }
-  std::vector<Edge> edges(from.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (from[i] >= num_vertices || to[i] >= num_vertices) {
-      throw std::runtime_error("binary graph: vertex id out of range");
-    }
-    edges[i] = Edge{from[i], to[i], weight[i]};
-  }
-  Graph graph = Graph::from_edges(num_vertices, std::move(edges));
-
-  if (read_pod<std::uint8_t>(in) != 0) {
-    Coordinates coords;
-    coords.x = read_vector_v1<double>(in);
-    coords.y = read_vector_v1<double>(in);
-    if (coords.x.size() != num_vertices || coords.y.size() != num_vertices) {
-      throw std::runtime_error("binary graph: bad coordinates block");
-    }
-    graph.set_coordinates(std::move(coords));
-  }
-  return graph;
-}
-
 Graph read_binary_graph_v2(std::istream& in, const HeaderV2& header) {
   if (header.num_vertices >
       static_cast<std::uint64_t>(std::numeric_limits<VertexId>::max()) - 1) {
@@ -267,34 +226,6 @@ void write_binary_graph(std::ostream& out, const Graph& graph) {
   }
 }
 
-void write_binary_graph_v1(std::ostream& out, const Graph& graph) {
-  write_pod(out, kMagic);
-  write_pod<std::uint32_t>(out, 1);
-  write_pod<std::uint32_t>(out, graph.num_vertices());
-
-  std::vector<std::uint32_t> from, to, weight;
-  from.reserve(graph.num_edges());
-  to.reserve(graph.num_edges());
-  weight.reserve(graph.num_edges());
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    for (const Graph::Neighbor& n : graph.neighbors(v)) {
-      from.push_back(v);
-      to.push_back(n.to);
-      weight.push_back(n.weight);
-    }
-  }
-  write_vector_v1(out, from);
-  write_vector_v1(out, to);
-  write_vector_v1(out, weight);
-
-  const Coordinates& coords = graph.coordinates();
-  write_pod<std::uint8_t>(out, coords.empty() ? 0 : 1);
-  if (!coords.empty()) {
-    write_vector_v1(out, coords.x);
-    write_vector_v1(out, coords.y);
-  }
-}
-
 void save_binary_graph(const std::string& path, const Graph& graph) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("binary graph: cannot open " + path);
@@ -309,20 +240,16 @@ Graph read_binary_graph(std::istream& in) {
     throw std::runtime_error("binary graph: bad magic");
   }
   const auto version = read_pod<std::uint32_t>(in);
-  Graph graph;
-  if (version == 1) {
-    graph = read_binary_graph_v1(in);
-  } else if (version == 2) {
-    HeaderV2 header;
-    header.flags = read_pod<std::uint32_t>(in);
-    header.num_vertices = read_pod<std::uint64_t>(in);
-    header.num_edges = read_pod<std::uint64_t>(in);
-    for (std::uint64_t& r : header.reserved) r = read_pod<std::uint64_t>(in);
-    graph = read_binary_graph_v2(in, header);
-  } else {
+  if (version != kBinaryFormatVersion) {
     throw std::runtime_error("binary graph: unsupported version " +
                              std::to_string(version));
   }
+  HeaderV2 header;
+  header.flags = read_pod<std::uint32_t>(in);
+  header.num_vertices = read_pod<std::uint64_t>(in);
+  header.num_edges = read_pod<std::uint64_t>(in);
+  for (std::uint64_t& r : header.reserved) r = read_pod<std::uint64_t>(in);
+  Graph graph = read_binary_graph_v2(in, header);
   graph.set_description("binary cache");
   return graph;
 }
@@ -337,11 +264,7 @@ Graph load_binary_graph_mmap(const std::string& path) {
 #if SMQ_HAVE_MMAP
   std::shared_ptr<MappedFile> file = MappedFile::map(path);
   if (file != nullptr && file->size >= sizeof(HeaderV2)) {
-    std::uint32_t version = 0;
-    std::memcpy(&version, file->data + sizeof(std::uint64_t),
-                sizeof(version));
-    // v1 rebuilds an edge list anyway — nothing to map in place.
-    if (version != 1) return map_v2(std::move(file), path);
+    return map_v2(std::move(file), path);
   }
 #endif
   return load_binary_graph(path);

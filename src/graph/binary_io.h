@@ -10,11 +10,9 @@
 // coordinates block (V x f64 x, V x f64 y). Every section starts
 // 8-byte-aligned, so a v2 file can be memory-mapped and used in place:
 // load_binary_graph_mmap() maps the file MAP_PRIVATE and the graph
-// pages in on first traversal instead of being parsed or copied.
-//
-// Format v1 (legacy): an edge list rebuilt through Graph::from_edges.
-// Still readable (read_binary_graph dispatches on the version field);
-// the cache regenerates v1 entries as v2 because the cache key includes
+// pages in on first traversal instead of being parsed or copied. Files
+// of any other version (the retired v1 edge-list format included) are
+// rejected; the graph cache never meets them because its key includes
 // kBinaryFormatVersion (see GraphRegistry::create_cached).
 //
 // All readers bound every on-disk count by the remaining input size
@@ -39,21 +37,17 @@ inline constexpr std::uint32_t kBinaryFormatVersion = 2;
 void write_binary_graph(std::ostream& out, const Graph& graph);
 void save_binary_graph(const std::string& path, const Graph& graph);
 
-/// Write the legacy v1 edge-list format. Kept for the v1->v2 migration
-/// tests; new code always writes v2.
-void write_binary_graph_v1(std::ostream& out, const Graph& graph);
-
-/// Read either format (dispatches on the header's version field).
-/// Throws std::runtime_error on bad magic/version/truncation/oversized
-/// counts and std::invalid_argument on inconsistent CSR offsets.
+/// Read the current format. Throws std::runtime_error on bad
+/// magic/version/truncation/oversized counts and std::invalid_argument
+/// on inconsistent CSR offsets.
 Graph read_binary_graph(std::istream& in);
 Graph load_binary_graph(const std::string& path);
 
 /// Memory-map `path` (MAP_PRIVATE) and return a graph whose CSR arrays
 /// alias the mapping — load is page-in, not parse. Falls back to the
 /// ifstream reader when the platform has no mmap, the mapping fails, or
-/// the file is format v1 (whose edge list must be rebuilt anyway).
-/// Structural corruption throws, exactly like the stream reader.
+/// the file is shorter than a header. Structural corruption throws,
+/// exactly like the stream reader.
 Graph load_binary_graph_mmap(const std::string& path);
 
 }  // namespace smq

@@ -17,7 +17,7 @@
 // Both optimizations are per-thread-state tricks (insert/delete buffers,
 // the sticky queue choice), which is exactly what the Handle hoists: it
 // holds the thread's Local slot directly, so a buffered push is a
-// pointer-chase-free append. The tid-indexed calls shim through it.
+// pointer-chase-free append.
 #pragma once
 
 #include <cstdint>
@@ -192,7 +192,8 @@ class OptimizedMultiQueue {
     /// Fold NUMA sampling attribution into the executor's per-thread
     /// stats. Zeros under UMA.
     void collect_stats(ThreadStats& st) const noexcept {
-      collect_into(*me_, st);
+      st.sampled_accesses += me_->numa_sampled;
+      st.remote_accesses += me_->numa_remote;
     }
 
     unsigned thread_id() const noexcept { return tid_; }
@@ -256,22 +257,6 @@ class OptimizedMultiQueue {
 
   Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
-  // ---- tid-indexed shims (legacy surface) ------------------------------
-
-  void push(unsigned tid, Task task) { handle(tid).push(task); }
-  void push_batch(unsigned tid, std::span<const Task> tasks) {
-    handle(tid).push_batch(tasks);
-  }
-  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
-  std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                            std::size_t max) {
-    return handle(tid).try_pop_batch(out, max);
-  }
-  void flush(unsigned tid) { handle(tid).flush(); }
-  void collect_stats(unsigned tid, ThreadStats& st) const noexcept {
-    collect_into(locals_[tid].value, st);
-  }
-
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
@@ -289,12 +274,6 @@ class OptimizedMultiQueue {
     std::uint64_t numa_remote = 0;
   };
 
-  /// One stat-folding body shared by the handle and tid surfaces.
-  static void collect_into(const Local& me, ThreadStats& st) noexcept {
-    st.sampled_accesses += me.numa_sampled;
-    st.remote_accesses += me.numa_remote;
-  }
-
   Config cfg_;
   unsigned num_threads_;
   LockedQueueArray queues_;
@@ -302,6 +281,6 @@ class OptimizedMultiQueue {
   QueueSampler sampler_;
 };
 
-static_assert(HandleScheduler<OptimizedMultiQueue>);
+static_assert(PriorityScheduler<OptimizedMultiQueue>);
 
 }  // namespace smq

@@ -114,7 +114,8 @@ class ReldQueue {
     /// Fold NUMA enqueue attribution into the executor's per-thread
     /// stats. Zeros under UMA.
     void collect_stats(ThreadStats& st) const noexcept {
-      collect_into(*me_, st);
+      st.sampled_accesses += me_->numa.sampled;
+      st.remote_accesses += me_->numa.remote;
     }
 
     unsigned thread_id() const noexcept { return tid_; }
@@ -128,14 +129,6 @@ class ReldQueue {
 
   Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
-  // ---- tid-indexed shims (legacy surface) ------------------------------
-
-  void push(unsigned tid, Task task) { handle(tid).push(task); }
-  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
-  void collect_stats(unsigned tid, ThreadStats& st) const noexcept {
-    collect_into(locals_[tid].value, st);
-  }
-
  private:
   struct NumaCounters {
     std::uint64_t sampled = 0;
@@ -148,12 +141,6 @@ class ReldQueue {
     NumaCounters numa;
   };
 
-  /// One stat-folding body shared by the handle and tid surfaces.
-  static void collect_into(const Local& me, ThreadStats& st) noexcept {
-    st.sampled_accesses += me.numa.sampled;
-    st.remote_accesses += me.numa.remote;
-  }
-
   unsigned num_threads_;
   unsigned queues_per_thread_;
   LockedQueueArray queues_;
@@ -161,6 +148,6 @@ class ReldQueue {
   QueueSampler sampler_;
 };
 
-static_assert(HandleScheduler<ReldQueue>);
+static_assert(PriorityScheduler<ReldQueue>);
 
 }  // namespace smq

@@ -52,15 +52,12 @@ class SequentialScheduler {
 
   Handle handle(unsigned /*tid*/) noexcept { return Handle(heap_); }
 
-  void push(unsigned /*tid*/, Task task) { heap_.push(task); }
-  std::optional<Task> try_pop(unsigned /*tid*/) { return heap_.try_pop(); }
-
   std::size_t size() const noexcept { return heap_.size(); }
 
  private:
   DAryHeap<Task, 4> heap_;
 };
 
-static_assert(HandleScheduler<SequentialScheduler>);
+static_assert(PriorityScheduler<SequentialScheduler>);
 
 }  // namespace smq

@@ -64,24 +64,21 @@ class SprayList {
 
   unsigned num_threads() const noexcept { return num_threads_; }
 
-  void push(unsigned tid, Task task) {
-    EpochManager::Guard guard(epochs_.get(), tid);
-    list_.insert(tid, task, rngs_[tid].value);
-  }
-
-  std::optional<Task> try_pop(unsigned tid) {
-    EpochManager::Guard guard(epochs_.get(), tid);
-    return pop_pinned(tid);
-  }
-
   /// Per-thread handle: one epoch pin per operation or batch.
   class Handle {
    public:
     Handle(SprayList& sched, unsigned tid) noexcept
         : sched_(&sched), tid_(tid) {}
 
-    void push(Task t) { sched_->push(tid_, t); }
-    std::optional<Task> try_pop() { return sched_->try_pop(tid_); }
+    void push(Task t) {
+      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      sched_->list_.insert(tid_, t, sched_->rngs_[tid_].value);
+    }
+
+    std::optional<Task> try_pop() {
+      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      return sched_->pop_pinned(tid_);
+    }
 
     void push_batch(std::span<const Task> tasks) {
       EpochManager::Guard guard(sched_->epochs_.get(), tid_);
@@ -157,7 +154,7 @@ class SprayList {
   int max_jump_ = 1;
 };
 
-static_assert(HandleScheduler<SprayList>);
+static_assert(PriorityScheduler<SprayList>);
 static_assert(ReclaimingScheduler<SprayList>);
 static_assert(MemoryReportingScheduler<SprayList>);
 

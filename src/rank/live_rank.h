@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "rank/order_statistics.h"
 #include "sched/scheduler_traits.h"
@@ -27,42 +28,66 @@ struct LiveRankResult {
 /// Pre-fills `sched` with `num_elements` tasks (priority = insertion
 /// index) spread round-robin over the logical threads, then pops
 /// everything, rotating the popping thread identity uniformly at random.
-/// The rank of each pop is its position in the exact shadow set.
+/// The rank of each pop is its position in the exact shadow set. The
+/// probe acquires one handle per logical thread up front and drives every
+/// operation through it.
 template <PriorityScheduler S>
 LiveRankResult measure_live_rank(S& sched, std::size_t num_elements,
                                  std::uint64_t seed = 1) {
   const unsigned threads = sched.num_threads();
   OrderStatistics shadow(num_elements);  // priorities are 0..N-1, unique
   Xoshiro256 rng(seed);
+  // smq-lint: no-pad the probe is single-threaded; it only rotates
+  // logical thread identities
+  std::vector<typename S::Handle> handles;
+  handles.reserve(threads);
+  for (unsigned tid = 0; tid < threads; ++tid) {
+    handles.push_back(sched.handle(tid));
+  }
 
   for (std::size_t i = 0; i < num_elements; ++i) {
     const unsigned tid = static_cast<unsigned>(i % threads);
-    sched.push(tid, Task{i, i});
+    handles[tid].push(Task{i, i});
     shadow.insert(i);
   }
-  for (unsigned tid = 0; tid < threads; ++tid) {
-    flush_if_supported(sched, tid);
-  }
+  for (auto& handle : handles) handle.flush();
 
   LiveRankResult result;
   double rank_sum = 0;
+  const auto record = [&](const Task& task) {
+    const std::uint64_t rank = shadow.rank_of(task.priority);
+    shadow.erase(task.priority);
+    rank_sum += static_cast<double>(rank);
+    result.max_rank = std::max(result.max_rank, rank);
+    ++result.pops;
+  };
   // Every element must eventually come out; rotate identities so owner
   // refill paths run (a scheduler may hide tasks from non-owners, never
   // from everyone).
   unsigned consecutive_failures = 0;
   while (shadow.size() > 0 && consecutive_failures < 4 * threads) {
     const unsigned tid = static_cast<unsigned>(rng.next_below(threads));
-    const std::optional<Task> task = sched.try_pop(tid);
+    const std::optional<Task> task = handles[tid].try_pop();
     if (!task) {
       ++consecutive_failures;
       continue;
     }
     consecutive_failures = 0;
-    const std::uint64_t rank = shadow.rank_of(task->priority);
-    shadow.erase(task->priority);
-    rank_sum += static_cast<double>(rank);
-    result.max_rank = std::max(result.max_rank, rank);
-    ++result.pops;
+    record(*task);
+  }
+  // The random rotation gave up, but tasks may still sit in one thread's
+  // private buffers (a delete batch, a pop chunk): flush and drain every
+  // identity in order until a full sweep yields nothing.
+  bool progress = true;
+  while (shadow.size() > 0 && progress) {
+    progress = false;
+    for (auto& handle : handles) {
+      handle.flush();
+      while (const std::optional<Task> task = handle.try_pop()) {
+        record(*task);
+        progress = true;
+      }
+    }
   }
   if (result.pops > 0) {
     result.mean_rank = rank_sum / static_cast<double>(result.pops);

@@ -33,14 +33,8 @@
 
 namespace smq {
 
-/// One global lock around one sequential d-ary heap.
-///
-/// Has a native Handle even though it keeps no per-thread state: the
-/// handle caches the lock/heap pair, and more importantly keeps the
-/// strict-PQ anchor on the same zero-probe hot path as the relaxed
-/// schedulers it is measured against. (GlobalSkipListScheduler and
-/// ChunkBagScheduler below intentionally stay tid-only — they are the
-/// standing exercise of the TidHandle migration shim.)
+/// One global lock around one sequential d-ary heap. It keeps no
+/// per-thread state; its handle is just the scheduler pointer.
 class GlobalHeapScheduler {
  public:
   explicit GlobalHeapScheduler(unsigned num_threads)
@@ -99,32 +93,22 @@ class GlobalHeapScheduler {
 
   Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
-  void push(unsigned tid, Task task) { handle(tid).push(task); }
-  std::optional<Task> try_pop(unsigned tid) { return handle(tid).try_pop(); }
-  void push_batch(unsigned tid, std::span<const Task> tasks) {
-    handle(tid).push_batch(tasks);
-  }
-  std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                            std::size_t max) {
-    return handle(tid).try_pop_batch(out, max);
-  }
-
  private:
   unsigned num_threads_;
   Spinlock lock_;
   DAryHeap<Task, 4> heap_ SMQ_GUARDED_BY(lock_);
 };
 
-static_assert(HandleScheduler<GlobalHeapScheduler>);
+static_assert(PriorityScheduler<GlobalHeapScheduler>);
 
 struct GlobalSkipListConfig {
   std::uint64_t seed = 1;
   bool reclaim = false;  // epoch-based node reclamation + reuse
 };
 
-/// Exact concurrent delete-min over the lock-free skip list. Stays
-/// tid-only on purpose (the standing exercise of the TidHandle shim);
-/// with reclamation on, each tid call pins the epoch for its duration.
+/// Exact concurrent delete-min over the lock-free skip list. With
+/// reclamation on, each handle operation pins the epoch once (per op or
+/// per batch).
 class GlobalSkipListScheduler {
  public:
   using Config = GlobalSkipListConfig;
@@ -142,15 +126,50 @@ class GlobalSkipListScheduler {
 
   unsigned num_threads() const noexcept { return num_threads_; }
 
-  void push(unsigned tid, Task task) {
-    EpochManager::Guard guard(epochs_.get(), tid);
-    list_.insert(tid, task, rngs_[tid].value);
-  }
+  /// Per-thread view: the thread's insert RNG resolved once.
+  class Handle {
+   public:
+    Handle(GlobalSkipListScheduler& sched, unsigned tid) noexcept
+        : sched_(&sched), rng_(&sched.rngs_[tid].value), tid_(tid) {}
 
-  std::optional<Task> try_pop(unsigned tid) {
-    EpochManager::Guard guard(epochs_.get(), tid);
-    return list_.pop_min(tid);
-  }
+    void push(Task task) {
+      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      sched_->list_.insert(tid_, task, *rng_);
+    }
+
+    void push_batch(std::span<const Task> tasks) {
+      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      for (const Task& task : tasks) sched_->list_.insert(tid_, task, *rng_);
+    }
+
+    std::optional<Task> try_pop() {
+      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      return sched_->list_.pop_min(tid_);
+    }
+
+    std::size_t try_pop_batch(std::vector<Task>& out, std::size_t max) {
+      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      std::size_t taken = 0;
+      while (taken < max) {
+        std::optional<Task> task = sched_->list_.pop_min(tid_);
+        if (!task) break;
+        out.push_back(*task);
+        ++taken;
+      }
+      return taken;
+    }
+
+    void flush() noexcept {}
+    void collect_stats(ThreadStats&) const noexcept {}
+    unsigned thread_id() const noexcept { return tid_; }
+
+   private:
+    GlobalSkipListScheduler* sched_;
+    Xoshiro256* rng_;
+    unsigned tid_;
+  };
+
+  Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
   void quiesce(unsigned tid) {
     if (epochs_ != nullptr) epochs_->quiesce(tid);
@@ -171,18 +190,23 @@ class GlobalSkipListScheduler {
   std::vector<Padded<Xoshiro256>> rngs_;
 };
 
+static_assert(PriorityScheduler<GlobalSkipListScheduler>);
 static_assert(ReclaimingScheduler<GlobalSkipListScheduler>);
 static_assert(MemoryReportingScheduler<GlobalSkipListScheduler>);
 
 /// A single unordered ChunkBag shared by all threads (OBIM with exactly
-/// one priority level). Buffers pushes into thread-local chunks, so it is
-/// flushable; pops drain a thread-local chunk taken from the bag.
+/// one priority level). Buffers pushes into thread-local chunks, so its
+/// handle's flush() publishes them; pops drain a thread-local chunk taken
+/// from the bag.
 struct ChunkBagSchedulerConfig {
   std::size_t chunk_size = 64;
   bool reclaim = false;  // Treiber stacks + epoch-retired chunks
 };
 
 class ChunkBagScheduler {
+ private:
+  struct Local;
+
  public:
   using Config = ChunkBagSchedulerConfig;
 
@@ -209,44 +233,66 @@ class ChunkBagScheduler {
 
   unsigned num_threads() const noexcept { return num_threads_; }
 
-  void push(unsigned tid, Task task) {
-    Local& local = locals_[tid].value;
-    if (local.push_chunk == nullptr) local.push_chunk = alloc_.make();
-    local.push_chunk->push(task);
-    if (local.push_chunk->full(chunk_size_)) {
-      bag_.push_chunk(0, local.push_chunk);
-      local.push_chunk = nullptr;
-    }
-  }
+  /// Per-thread view: the thread's push/pop chunk slots resolved once.
+  class Handle {
+   public:
+    Handle(ChunkBagScheduler& sched, unsigned tid) noexcept
+        : sched_(&sched), me_(&sched.locals_[tid].value), tid_(tid) {}
 
-  std::optional<Task> try_pop(unsigned tid) {
-    Local& local = locals_[tid].value;
-    if (local.pop_chunk != nullptr && !local.pop_chunk->empty()) {
-      return local.pop_chunk->pop();
-    }
-    // One pin covers the Treiber pop and the retirement of the chunk
-    // it replaces (no-op guard in locked mode).
-    EpochManager::Guard guard(epochs_.get(), tid);
-    if (Chunk* chunk = bag_.pop_chunk(0)) {
-      if (local.pop_chunk != nullptr) {
-        bag_.retire_chunk(tid, local.pop_chunk, alloc_);
+    void push(Task task) {
+      if (me_->push_chunk == nullptr) me_->push_chunk = sched_->alloc_.make();
+      me_->push_chunk->push(task);
+      if (me_->push_chunk->full(sched_->chunk_size_)) {
+        sched_->bag_.push_chunk(0, me_->push_chunk);
+        me_->push_chunk = nullptr;
       }
-      local.pop_chunk = chunk;
-      return local.pop_chunk->pop();
     }
-    // Nothing published: fall back to our own unflushed chunk.
-    if (local.push_chunk != nullptr && !local.push_chunk->empty()) {
-      return local.push_chunk->pop();
-    }
-    return std::nullopt;
-  }
 
-  void flush(unsigned tid) {
-    Local& local = locals_[tid].value;
-    if (local.push_chunk == nullptr || local.push_chunk->empty()) return;
-    bag_.push_chunk(0, local.push_chunk);
-    local.push_chunk = nullptr;
-  }
+    void push_batch(std::span<const Task> tasks) {
+      for (const Task& task : tasks) push(task);
+    }
+
+    std::optional<Task> try_pop() {
+      if (me_->pop_chunk != nullptr && !me_->pop_chunk->empty()) {
+        return me_->pop_chunk->pop();
+      }
+      // One pin covers the Treiber pop and the retirement of the chunk
+      // it replaces (no-op guard in locked mode).
+      EpochManager::Guard guard(sched_->epochs_.get(), tid_);
+      if (Chunk* chunk = sched_->bag_.pop_chunk(0)) {
+        if (me_->pop_chunk != nullptr) {
+          sched_->bag_.retire_chunk(tid_, me_->pop_chunk, sched_->alloc_);
+        }
+        me_->pop_chunk = chunk;
+        return me_->pop_chunk->pop();
+      }
+      // Nothing published: fall back to our own unflushed chunk.
+      if (me_->push_chunk != nullptr && !me_->push_chunk->empty()) {
+        return me_->push_chunk->pop();
+      }
+      return std::nullopt;
+    }
+
+    std::size_t try_pop_batch(std::vector<Task>& out, std::size_t max) {
+      return handle_pop_loop(*this, out, max);
+    }
+
+    void flush() {
+      if (me_->push_chunk == nullptr || me_->push_chunk->empty()) return;
+      sched_->bag_.push_chunk(0, me_->push_chunk);
+      me_->push_chunk = nullptr;
+    }
+
+    void collect_stats(ThreadStats&) const noexcept {}
+    unsigned thread_id() const noexcept { return tid_; }
+
+   private:
+    ChunkBagScheduler* sched_;
+    Local* me_;
+    unsigned tid_;
+  };
+
+  Handle handle(unsigned tid) noexcept { return Handle(*this, tid); }
 
   void quiesce(unsigned tid) {
     if (epochs_ != nullptr) epochs_->quiesce(tid);
@@ -271,6 +317,7 @@ class ChunkBagScheduler {
   std::vector<Padded<Local>> locals_;
 };
 
+static_assert(PriorityScheduler<ChunkBagScheduler>);
 static_assert(ReclaimingScheduler<ChunkBagScheduler>);
 static_assert(MemoryReportingScheduler<ChunkBagScheduler>);
 

@@ -4,27 +4,17 @@
 // PriorityScheduler concept, which forces template instantiation at every
 // call site (the seed's benches each hand-listed every scheduler type).
 // AnyScheduler wraps any concrete scheduler behind one virtual interface
-// while itself modelling FlushableScheduler *and* HandleScheduler, so
-// Executor and every algorithm template instantiate exactly once for it —
-// runtime scheduler selection with a single indirect call per operation.
-// The indirection is uniform across schedulers, which is what a
-// comparison harness needs; perf-critical single-scheduler code can still
-// use static dispatch (src/registry/static_dispatch.h).
+// while itself modelling PriorityScheduler, so Executor and every
+// algorithm template instantiate exactly once for it — runtime scheduler
+// selection with a single indirect call per handle operation.
 //
-// Three boundaries, cheapest first:
-//  * HandleView (via handle(tid)): the executor acquires one erased
-//    per-thread handle per run. Acquisition resolves the concrete
-//    scheduler's thread-local state once — the view wraps the concrete
-//    S::Handle (or its TidHandle shim) — so each subsequent operation is
-//    one virtual call with no tid re-indexing behind it.
-//  * The batch entry points (push_batch / try_pop_batch): cross the
-//    virtual boundary once per batch instead of once per task; each
-//    Model forwards to the scheduler's native batch ops when the
-//    BatchPush/BatchPop concepts detect them, and to a plain loop on the
-//    concrete type otherwise — so even the fallback pays the indirection
-//    only once.
-//  * The tid-indexed per-op virtuals: the legacy surface, kept for
-//    callers that poke a single operation (tests, micro-benches).
+// The boundary is the per-thread HandleView (via handle(tid)): the
+// executor acquires one erased handle per thread per run. Acquisition
+// resolves the concrete scheduler's thread-local state once — the view
+// wraps the concrete S::Handle — so each subsequent operation is one
+// virtual call with no tid re-indexing behind it, and the batch entry
+// points (push_batch / try_pop_batch) cross it once per batch instead of
+// once per task.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +33,8 @@ class AnyScheduler {
  public:
   /// The erased per-thread handle interface. One virtual call per
   /// operation; the model behind it holds the concrete scheduler's
-  /// native handle, so the thread-state resolution the tid virtuals pay
-  /// per call has already happened at acquisition.
+  /// native handle, so the thread-state resolution has already happened
+  /// at acquisition.
   class HandleView {
    public:
     virtual ~HandleView() = default;
@@ -77,10 +67,6 @@ class AnyScheduler {
     void collect_stats(ThreadStats& st) const { view_->collect_stats(st); }
     unsigned thread_id() const { return view_->thread_id(); }
 
-    /// The erased view, for callers that want to hold the boundary
-    /// directly (tests).
-    HandleView& view() noexcept { return *view_; }
-
    private:
     std::unique_ptr<HandleView> view_;
   };
@@ -106,24 +92,9 @@ class AnyScheduler {
     deps_ = std::move(dependency);
   }
 
-  /// Acquire the per-thread handle (HandleScheduler interface).
+  /// Acquire the per-thread handle.
   Handle handle(unsigned tid) { return Handle(impl_->acquire(tid)); }
 
-  // ---- PriorityScheduler / FlushableScheduler interface ---------------
-
-  void push(unsigned tid, Task t) { impl_->push(tid, t); }
-  std::optional<Task> try_pop(unsigned tid) { return impl_->try_pop(tid); }
-  void push_batch(unsigned tid, std::span<const Task> tasks) {
-    impl_->push_batch(tid, tasks);
-  }
-  std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                            std::size_t max) {
-    return impl_->try_pop_batch(tid, out, max);
-  }
-  void flush(unsigned tid) { impl_->flush(tid); }
-  void collect_stats(unsigned tid, ThreadStats& st) const {
-    impl_->collect_stats(tid, st);
-  }
   unsigned num_threads() const { return impl_->num_threads(); }
 
   /// Reclamation idle hook; no-op for schedulers that do not defer any.
@@ -144,13 +115,6 @@ class AnyScheduler {
  private:
   struct Concept {
     virtual ~Concept() = default;
-    virtual void push(unsigned tid, Task t) = 0;
-    virtual std::optional<Task> try_pop(unsigned tid) = 0;
-    virtual void push_batch(unsigned tid, std::span<const Task> tasks) = 0;
-    virtual std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                                      std::size_t max) = 0;
-    virtual void flush(unsigned tid) = 0;
-    virtual void collect_stats(unsigned tid, ThreadStats& st) const = 0;
     virtual unsigned num_threads() const = 0;
     virtual void quiesce(unsigned tid) = 0;
     virtual std::size_t memory_footprint() const = 0;
@@ -162,12 +126,10 @@ class AnyScheduler {
     template <typename... Args>
     explicit Model(Args&&... args) : sched(std::forward<Args>(args)...) {}
 
-    /// The erased handle: wraps whatever handle_adapted() yields for S —
-    /// the native S::Handle when S models HandleScheduler, the TidHandle
-    /// shim otherwise. Either way the concrete handle is resolved here,
-    /// once, and every virtual below is a plain forward.
+    /// The erased handle: wraps S's native handle, resolved here, once;
+    /// every virtual below is a plain forward.
     struct HandleModel final : HandleView {
-      HandleModel(S& sched, unsigned tid) : h(handle_adapted(sched, tid)) {}
+      HandleModel(S& sched, unsigned tid) : h(sched.handle(tid)) {}
 
       void push(Task t) override { h.push(t); }
       std::optional<Task> try_pop() override { return h.try_pop(); }
@@ -184,24 +146,9 @@ class AnyScheduler {
       }
       unsigned thread_id() const override { return h.thread_id(); }
 
-      HandleOf<S> h;
+      typename S::Handle h;
     };
 
-    void push(unsigned tid, Task t) override { sched.push(tid, t); }
-    std::optional<Task> try_pop(unsigned tid) override {
-      return sched.try_pop(tid);
-    }
-    void push_batch(unsigned tid, std::span<const Task> tasks) override {
-      push_batch_adapted(sched, tid, tasks);
-    }
-    std::size_t try_pop_batch(unsigned tid, std::vector<Task>& out,
-                              std::size_t max) override {
-      return try_pop_batch_adapted(sched, tid, out, max);
-    }
-    void flush(unsigned tid) override { flush_if_supported(sched, tid); }
-    void collect_stats(unsigned tid, ThreadStats& st) const override {
-      collect_stats_if_supported(sched, tid, st);
-    }
     unsigned num_threads() const override { return sched.num_threads(); }
     void quiesce(unsigned tid) override { quiesce_if_supported(sched, tid); }
     std::size_t memory_footprint() const override {
@@ -218,16 +165,8 @@ class AnyScheduler {
   std::shared_ptr<void> deps_;
 };
 
-static_assert(FlushableScheduler<AnyScheduler>,
+static_assert(PriorityScheduler<AnyScheduler>,
               "AnyScheduler must model the concept it erases");
-static_assert(BatchPushScheduler<AnyScheduler> &&
-                  BatchPopScheduler<AnyScheduler>,
-              "AnyScheduler must expose the one-virtual-call-per-batch path");
-static_assert(StatReportingScheduler<AnyScheduler>,
-              "AnyScheduler must forward scheduler-private stat collection");
-static_assert(HandleScheduler<AnyScheduler>,
-              "AnyScheduler must expose the once-per-run handle boundary");
-static_assert(SchedulerHandle<AnyScheduler::Handle>);
 static_assert(ReclaimingScheduler<AnyScheduler> &&
                   MemoryReportingScheduler<AnyScheduler>,
               "AnyScheduler must forward the reclamation hooks");

@@ -28,9 +28,8 @@ std::uint64_t graph_cache_key(const GraphSourceEntry& entry,
                               const ParamMap& params) {
   std::uint64_t hash = 14695981039346656037ull;
   hash = fnv1a(hash, entry.name);
-  // A format bump must invalidate every cache entry: old files would
-  // still *read* (v1 compat) but silently keep paying the edge-list
-  // rebuild the new format exists to avoid.
+  // A format bump must invalidate every cache entry: the reader rejects
+  // any version but the current one.
   hash = fnv1a(hash, "#fmt=" + std::to_string(kBinaryFormatVersion));
   for (const Tunable& t : entry.tunables) {
     const std::string value = params.get(t.name, t.default_value);

@@ -55,9 +55,8 @@ class GraphRegistry : public NamedRegistry<GraphSourceEntry> {
   /// on the 58M-arc USA graph); the "binary" source itself is never
   /// re-cached. Cached instances carry the source defaults for
   /// source/target metadata and honour a weight-scale tunable when the
-  /// source declares one. An unreadable or stale cache file (including
-  /// any v1 entry, whose key no longer matches) falls back to
-  /// regeneration and is overwritten in the current format.
+  /// source declares one. An unreadable or stale cache file falls back
+  /// to regeneration and is overwritten in the current format.
   GraphInstance create_cached(std::string_view name, const ParamMap& params,
                               const std::string& cache_dir) const;
 };

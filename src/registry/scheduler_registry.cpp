@@ -1,7 +1,10 @@
 #include "registry/scheduler_registry.h"
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/stealing_multiqueue.h"
@@ -13,7 +16,6 @@
 #include "queues/skiplist.h"
 #include "queues/spraylist.h"
 #include "registry/adapters.h"
-#include "registry/scheduler_configs.h"
 #include "sched/topology.h"
 #include "support/cli.h"
 
@@ -25,6 +27,9 @@ ParamMap ParamMap::from_args(const ArgParser& args) {
   return params;
 }
 
+namespace {
+
+/// `params` with `defaults` filled in where unset and `pinned` forced.
 ParamMap resolve_preset_params(const ParamMap& params, const ParamMap& defaults,
                                const ParamMap& pinned) {
   ParamMap resolved = params;
@@ -37,12 +42,167 @@ ParamMap resolve_preset_params(const ParamMap& params, const ParamMap& defaults,
   return resolved;
 }
 
-ParamMap resolve_preset_params(const SchedulerEntry& entry,
-                               const ParamMap& params) {
-  return resolve_preset_params(params, entry.defaults, entry.pinned);
+/// NUMA options accepted in three spellings: "--numa 2" (node count),
+/// "--numa nodes=2,k=8", "--numa k=8" (implies 2 nodes), plus the
+/// separate "--numa-k 8". Simulated topology, see sched/topology.h.
+struct NumaOptions {
+  unsigned nodes = 0;
+  double k = 1.0;
+};
+
+NumaOptions parse_numa(const ParamMap& params, unsigned threads,
+                       double default_k) {
+  NumaOptions numa;
+  bool k_given = false;  // explicit K (even K=1) must never be overridden
+  const std::string spec = params.get("numa");
+  for (const std::string& part : split_list(spec, ',')) {
+    if (const auto eq = part.find('='); eq != std::string::npos) {
+      const std::string key = part.substr(0, eq);
+      const double value = std::strtod(part.substr(eq + 1).c_str(), nullptr);
+      if (key == "nodes") numa.nodes = static_cast<unsigned>(value);
+      if (key == "k") {
+        numa.k = value;
+        k_given = true;
+      }
+    } else {
+      numa.nodes = static_cast<unsigned>(std::strtoul(part.c_str(), nullptr, 10));
+    }
+  }
+  if (params.has("numa-k")) {
+    numa.k = params.get_double("numa-k", numa.k);
+    k_given = true;
+  }
+  if (numa.k <= 0) numa.k = 1.0;
+  // "--numa k=8" alone asks for weighted sampling without a node count.
+  if (numa.nodes == 0 && numa.k > 1.0) numa.nodes = 2;
+  if (!k_given && numa.nodes > 1) numa.k = default_k;
+  numa.nodes = std::min(numa.nodes, threads);
+  return numa;
 }
 
-namespace {
+/// Build the simulated topology when requested; the caller ties its
+/// lifetime to the scheduler (configs hold a raw pointer into it).
+std::shared_ptr<Topology> make_topology(const NumaOptions& numa,
+                                        unsigned threads) {
+  if (numa.nodes <= 1) return nullptr;
+  return std::make_shared<Topology>(threads, numa.nodes);
+}
+
+const std::vector<Tunable>& numa_tunables() {
+  static const std::vector<Tunable> tunables = {
+      {"numa", "0", "virtual NUMA nodes: \"2\", \"nodes=2,k=8\" or \"k=8\""},
+      {"numa-k", "", "remote-queue sampling weight divisor K"},
+  };
+  return tunables;
+}
+
+/// Parse "--reclaim {none,epoch}" into a scheduler's cfg.reclaim flag.
+/// Shared by every scheduler with epoch-based reclamation so the spelling
+/// (and the error message) is uniform. Throws std::invalid_argument on
+/// any other value.
+bool parse_reclaim(const ParamMap& params) {
+  const std::string mode = params.get("reclaim", "none");
+  if (mode.empty() || mode == "none") return false;
+  if (mode == "epoch") return true;
+  throw std::invalid_argument("unknown --reclaim mode '" + mode +
+                              "' (expected none|epoch)");
+}
+
+const Tunable& reclaim_tunable() {
+  static const Tunable t = {"reclaim", "none",
+                            "memory reclamation: none|epoch"};
+  return t;
+}
+
+// ---- ParamMap -> config struct, one builder per family --------------------
+//
+// Each builder fills `topology` (possibly with nullptr) with the object
+// its returned config points into; the factory attaches it to the
+// AnyScheduler so it lives as long as the scheduler.
+
+SmqConfig make_smq_config(unsigned threads, const ParamMap& params,
+                          std::shared_ptr<Topology>& topology) {
+  const NumaOptions numa = parse_numa(params, threads, /*default_k=*/8.0);
+  topology = make_topology(numa, threads);
+  SmqConfig cfg;
+  cfg.steal_size = static_cast<std::size_t>(params.get_int("steal-size", 4));
+  cfg.p_steal = params.get_probability("p-steal", 1.0 / 8.0);
+  cfg.seed = params.get_uint("seed", 1);
+  cfg.topology = topology.get();
+  cfg.numa_weight_k = numa.k;
+  return cfg;
+}
+
+ClassicMqConfig make_classic_mq_config(unsigned threads, const ParamMap& params,
+                                       std::shared_ptr<Topology>& topology) {
+  const NumaOptions numa = parse_numa(params, threads, 8.0);
+  topology = make_topology(numa, threads);
+  ClassicMqConfig cfg;
+  cfg.queue_multiplier = static_cast<unsigned>(params.get_int("c", 4));
+  cfg.seed = params.get_uint("seed", 1);
+  cfg.topology = topology.get();
+  cfg.numa_weight_k = numa.k;
+  return cfg;
+}
+
+OptimizedMqConfig make_optimized_mq_config(unsigned threads,
+                                           const ParamMap& params,
+                                           std::shared_ptr<Topology>& topology) {
+  const NumaOptions numa = parse_numa(params, threads, 8.0);
+  topology = make_topology(numa, threads);
+  OptimizedMqConfig cfg;
+  cfg.queue_multiplier = static_cast<unsigned>(params.get_int("c", 4));
+  cfg.insert_policy = params.get("insert-policy", "batch") == "local"
+                          ? InsertPolicy::kTemporalLocality
+                          : InsertPolicy::kBatching;
+  cfg.delete_policy = params.get("delete-policy", "batch") == "local"
+                          ? DeletePolicy::kTemporalLocality
+                          : DeletePolicy::kBatching;
+  cfg.p_insert_change = params.get_probability("p-insert", 1.0);
+  cfg.p_delete_change = params.get_probability("p-delete", 1.0);
+  cfg.insert_batch =
+      static_cast<std::size_t>(params.get_int("insert-batch", 16));
+  cfg.delete_batch =
+      static_cast<std::size_t>(params.get_int("delete-batch", 16));
+  cfg.seed = params.get_uint("seed", 1);
+  cfg.topology = topology.get();
+  cfg.numa_weight_k = numa.k;
+  return cfg;
+}
+
+ReldConfig make_reld_config(unsigned threads, const ParamMap& params,
+                            std::shared_ptr<Topology>& topology) {
+  const NumaOptions numa = parse_numa(params, threads, 8.0);
+  topology = make_topology(numa, threads);
+  ReldConfig cfg;
+  cfg.queue_multiplier = static_cast<unsigned>(params.get_int("c", 1));
+  cfg.seed = params.get_uint("seed", 1);
+  cfg.topology = topology.get();
+  cfg.numa_weight_k = numa.k;
+  return cfg;
+}
+
+ObimConfig make_obim_config(unsigned threads, const ParamMap& params,
+                            std::shared_ptr<Topology>& topology) {
+  const NumaOptions numa = parse_numa(params, threads, 1.0);
+  topology = make_topology(numa, threads);
+  ObimConfig cfg;
+  cfg.chunk_size = static_cast<std::size_t>(params.get_int("chunk-size", 64));
+  cfg.delta_shift = static_cast<unsigned>(params.get_int("delta-shift", 10));
+  cfg.reclaim = parse_reclaim(params);
+  cfg.topology = topology.get();
+  return cfg;
+}
+
+/// Obim config plus the PMOD adaptation knobs.
+ObimConfig make_pmod_config(unsigned threads, const ParamMap& params,
+                            std::shared_ptr<Topology>& topology) {
+  ObimConfig cfg = make_obim_config(threads, params, topology);
+  cfg.adapt_interval =
+      static_cast<unsigned>(params.get_int("adapt-interval", 64));
+  cfg.split_threshold = params.get_int("split-threshold", 4096);
+  return cfg;
+}
 
 void append(std::vector<Tunable>& dst, const std::vector<Tunable>& src) {
   dst.insert(dst.end(), src.begin(), src.end());
@@ -75,8 +235,7 @@ void add_preset(SchedulerRegistry& reg, std::string name,
     }
     entry.tunables.push_back(std::move(preset_t));
   }
-  // Capture the overlays by value: the factory must resolve exactly like
-  // resolve_preset_params() so virtual and static dispatch agree.
+  // Capture the overlays by value: the entry may move.
   entry.make = [base_make = base->make, pinned_copy = entry.pinned,
                 defaults_copy = entry.defaults](unsigned threads,
                                                 const ParamMap& params) {

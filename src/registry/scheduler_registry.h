@@ -28,25 +28,15 @@ struct SchedulerEntry {
   std::function<AnyScheduler(unsigned threads, const ParamMap&)> make;
 
   // Presets: a preset entry is a config family plus a fixed knob
-  // assignment. `family` names the base entry whose factory (and static
-  // dispatch row, if any) the preset reuses; empty for base entries.
-  // `pinned` knobs always win over caller params (that is what makes the
-  // key a preset); `defaults` fill in only when the caller left the key
-  // unset. Both the virtual factory and the static-dispatch path resolve
-  // params through resolve_preset_params(), so the two cannot drift.
+  // assignment. `family` names the base entry whose factory the preset
+  // reuses; empty for base entries. `pinned` knobs always win over
+  // caller params (that is what makes the key a preset); `defaults` fill
+  // in only when the caller left the key unset. The preset factory
+  // applies both, then calls the family's factory.
   std::string family = {};
   ParamMap pinned = {};
   ParamMap defaults = {};
 };
-
-/// `params` with `defaults` filled in where unset and `pinned` forced.
-ParamMap resolve_preset_params(const ParamMap& params, const ParamMap& defaults,
-                               const ParamMap& pinned);
-
-/// `params` with the entry's preset defaults filled in and its pinned
-/// knobs forced. Identity for base (non-preset) entries.
-ParamMap resolve_preset_params(const SchedulerEntry& entry,
-                               const ParamMap& params);
 
 class SchedulerRegistry : public NamedRegistry<SchedulerEntry> {
  public:

@@ -30,7 +30,7 @@ void print_sweep_table(std::ostream& os, const SweepReport& report) {
         row.auto_selected ? row.label + ":" + row.scheduler : row.label;
     table.add_row(
         {label, std::to_string(row.threads),
-         std::string(to_string(row.dispatch)),
+         std::string(dispatch_label(report.params)),
          row.numa_grid ? row.numa.label() : report.params.get("numa", "-"),
          TablePrinter::fmt(row.result.run.seconds * 1e3),
          std::to_string(stats.pops), std::to_string(stats.wasted),
@@ -50,7 +50,7 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
   json.member("tool", "smq_run");
   if (!report.suite.empty()) json.member("suite", report.suite);
   json.member("algorithm", report.algorithm);
-  json.member("dispatch", std::string(to_string(report.dispatch)));
+  json.member("dispatch", std::string(dispatch_label(report.params)));
   if (!report.numa_grid_spec.empty()) {
     json.member("numa_grid", report.numa_grid_spec);
   }
@@ -99,7 +99,7 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
     if (row.threads != row.requested_threads) {
       json.member("requested_threads", row.requested_threads);
     }
-    json.member("dispatch", std::string(to_string(row.dispatch)));
+    json.member("dispatch", std::string(dispatch_label(report.params)));
     if (row.numa_grid) {
       json.member("numa_nodes", row.numa.nodes);
       if (row.numa.k_set) json.member("numa_k", row.numa.k);
@@ -165,26 +165,14 @@ AlgoReference measure_reference(const AlgorithmEntry& algo,
 }
 
 AlgoResult measure_sweep_row(const SchedulerEntry& entry,
-                             std::string_view scheduler,
                              const AlgorithmEntry& algo,
-                             std::string_view algo_name,
                              const GraphInstance& graph, unsigned threads,
-                             const ParamMap& run_params, DispatchMode dispatch,
+                             const ParamMap& run_params,
                              const AlgoReference* ref, int reps) {
   AlgoResult best;
   for (int rep = 0; rep < std::max(1, reps); ++rep) {
-    AlgoResult result;
-    std::optional<AlgoResult> static_result;
-    if (dispatch == DispatchMode::kStatic) {
-      static_result = run_static_dispatch(scheduler, algo_name, graph,
-                                          threads, run_params, ref);
-    }
-    if (static_result) {
-      result = *static_result;
-    } else {
-      AnyScheduler sched = entry.make(threads, run_params);
-      result = algo.run(graph, sched, threads, run_params, ref);
-    }
+    AnyScheduler sched = entry.make(threads, run_params);
+    const AlgoResult result = algo.run(graph, sched, threads, run_params, ref);
     const bool better = rep == 0 || (result.valid && !best.valid) ||
                         (result.valid == best.valid &&
                          result.run.seconds < best.run.seconds);
@@ -193,32 +181,8 @@ AlgoResult measure_sweep_row(const SchedulerEntry& entry,
   return best;
 }
 
-std::optional<DispatchMode> resolve_dispatch_mode(const ArgParser& args,
-                                                  ParamMap& params,
-                                                  std::ostream& err) {
-  const std::string dispatch_name = args.get("dispatch", "virtual");
-  const std::optional<DispatchMode> dispatch =
-      parse_dispatch_mode(dispatch_name);
-  if (!dispatch) {
-    err << "unknown dispatch mode: " << dispatch_name
-        << " (expected virtual, batched or static)\n";
-    return std::nullopt;
-  }
-  // Batched dispatch amortizes the erasure boundary over --batch-size
-  // tasks; default it so `--dispatch batched` alone does something.
-  if (*dispatch == DispatchMode::kBatched && !params.has("batch-size")) {
-    params.set("batch-size", "64");
-  }
-  DispatchMode mode = *dispatch;
-  if (mode != DispatchMode::kStatic) {
-    mode = params.get_int("batch-size", 1) > 1 ? DispatchMode::kBatched
-                                               : DispatchMode::kVirtual;
-    if (mode != *dispatch) {
-      err << "note: --batch-size " << params.get("batch-size", "1")
-          << " makes this a " << to_string(mode) << " run\n";
-    }
-  }
-  return mode;
+std::string_view dispatch_label(const ParamMap& params) {
+  return params.get_int("batch-size", 1) > 1 ? "batched" : "virtual";
 }
 
 int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
@@ -251,7 +215,6 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
   }
   report.algorithm = algo_name;
   report.params = params;
-  report.dispatch = opts.dispatch;
   report.suite = suite.name;
 
   const std::vector<unsigned>& thread_counts =
@@ -264,8 +227,8 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
       << report.graph.graph->num_vertices() << " vertices, "
       << report.graph.graph->num_edges() << " edges)\n"
       << "algorithm: " << algo_name << "\n"
-      << "dispatch: " << to_string(opts.dispatch);
-  if (opts.dispatch == DispatchMode::kBatched) {
+      << "dispatch: " << dispatch_label(params);
+  if (params.has("batch-size")) {
     out << " (batch-size " << params.get("batch-size") << ")";
   }
   out << "\n";
@@ -288,13 +251,6 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
           << run.scheduler << "\n";
       return 2;
     }
-    DispatchMode row_dispatch = opts.dispatch;
-    if (row_dispatch == DispatchMode::kStatic &&
-        !has_static_dispatch(run.scheduler)) {
-      err << "note: no static dispatch entry for '" << run.scheduler
-          << "'; running it virtual\n";
-      row_dispatch = DispatchMode::kVirtual;
-    }
     // The run's grid point wins over conflicting CLI tunables — it IS
     // the suite's sweep axis.
     ParamMap run_params = params;
@@ -308,11 +264,9 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
       row.row_params = run.params;
       row.requested_threads = requested;
       row.threads = effective_threads(*entry, requested);
-      row.dispatch = row_dispatch;
       row.reps = reps;
-      row.result = measure_sweep_row(*entry, run.scheduler, *algo, algo_name,
-                                     report.graph, row.threads, run_params,
-                                     row_dispatch, report.reference, reps);
+      row.result = measure_sweep_row(*entry, *algo, report.graph, row.threads,
+                                     run_params, report.reference, reps);
       if (row.result.validated && !row.result.valid) any_invalid = true;
       report.rows.push_back(std::move(row));
     }
@@ -340,7 +294,7 @@ int run_suite_main(std::string_view suite_name, int argc, char** argv) {
     std::cout << "usage: reproduce " << suite->figure << " ("
               << suite->description << ")\n"
                  "  [--threads N[,N...]] [--reps N] [--json PATH|-]\n"
-                 "  [--dispatch virtual|batched|static] [--batch-size N]\n"
+                 "  [--batch-size N]\n"
                  "  [--graph NAME] [--algo NAME] [--graph-cache DIR]\n"
                  "  [--no-validate] [--<tunable> VALUE ...]\n\n"
                  "Expands the suite's preset sweep through the registry "
@@ -352,11 +306,6 @@ int run_suite_main(std::string_view suite_name, int argc, char** argv) {
 
   SuiteOptions opts;
   opts.cli_params = ParamMap::from_args(args);
-
-  const std::optional<DispatchMode> mode =
-      resolve_dispatch_mode(args, opts.cli_params, std::cerr);
-  if (!mode) return 2;
-  opts.dispatch = *mode;
 
   if (args.has_flag("threads")) {
     try {

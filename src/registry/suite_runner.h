@@ -11,7 +11,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,12 +20,9 @@
 #include "registry/numa_grid.h"
 #include "registry/params.h"
 #include "registry/scheduler_registry.h"
-#include "registry/static_dispatch.h"
 #include "registry/suites.h"
 
 namespace smq {
-
-class ArgParser;
 
 /// One result row of a sweep (ad-hoc or suite).
 struct SweepRow {
@@ -35,7 +31,6 @@ struct SweepRow {
   ParamMap row_params;    // per-run overrides (suite grids; empty ad-hoc)
   unsigned requested_threads = 0;
   unsigned threads = 0;   // effective (clamped) count
-  DispatchMode dispatch = DispatchMode::kVirtual;  // actually used
   NumaGridPoint numa;     // this row's grid point (inactive w/o a grid)
   bool numa_grid = false; // row came from a --numa-grid sweep
   AlgoResult result;
@@ -53,7 +48,6 @@ struct SweepReport {
   std::string algorithm;
   GraphInstance graph;
   ParamMap params;             // global params (graph + CLI tunables)
-  DispatchMode dispatch = DispatchMode::kVirtual;  // requested mode
   std::string numa_grid_spec;  // empty without a grid
   std::string suite;           // suite name; empty for ad-hoc sweeps
   const AlgoReference* reference = nullptr;  // null without validation
@@ -79,34 +73,25 @@ AlgoReference measure_reference(const AlgorithmEntry& algo,
                                 const GraphInstance& graph,
                                 const ParamMap& params, int reps);
 
-/// Best-of-`reps` measurement of one sweep row under `entry`
-/// (registered as `scheduler`): the static-dispatch path when
-/// `dispatch` is kStatic and the key resolves to a static row, the
-/// virtual factory otherwise. Prefers valid results, then the fastest
-/// wall time. `threads` must already be clamped via effective_threads().
+/// Best-of-`reps` measurement of one sweep row under `entry`. Prefers
+/// valid results, then the fastest wall time. `threads` must already be
+/// clamped via effective_threads().
 AlgoResult measure_sweep_row(const SchedulerEntry& entry,
-                             std::string_view scheduler,
                              const AlgorithmEntry& algo,
-                             std::string_view algo_name,
                              const GraphInstance& graph, unsigned threads,
-                             const ParamMap& run_params, DispatchMode dispatch,
+                             const ParamMap& run_params,
                              const AlgoReference* ref, int reps);
 
-/// Normalize --dispatch/--batch-size into the mode that will actually
-/// run: the executor picks its loop from batch-size alone, so
-/// `--batch-size 64` without `--dispatch` IS a batched run and
-/// `--dispatch batched` defaults batch-size to 64. Returns nullopt (and
-/// explains on `err`) for an unknown mode name. The perf gate keys
-/// baseline rows on this label; it must not lie.
-std::optional<DispatchMode> resolve_dispatch_mode(const ArgParser& args,
-                                                  ParamMap& params,
-                                                  std::ostream& err);
+/// The `dispatch` label of a sweep's table and JSON rows, derived from
+/// `--batch-size` alone: "virtual" at batch size 1 (one AnyScheduler
+/// handle call per task), "batched" above it (one per task batch). The
+/// perf gate keys baseline rows on this label; it must not lie.
+std::string_view dispatch_label(const ParamMap& params);
 
 struct SuiteOptions {
   std::vector<unsigned> threads;  // empty = the suite's default sweep
   int reps = 1;
   bool validate = true;
-  DispatchMode dispatch = DispatchMode::kVirtual;
   ParamMap cli_params;        // --key value tunables + graph overrides
   std::string algo_override;  // empty = suite default
   std::string graph_override;
@@ -122,7 +107,7 @@ int run_suite(const SuiteDef& suite, const SuiteOptions& opts,
               std::ostream& out, std::ostream& err);
 
 /// Full CLI entry point over run_suite(): parses --threads/--reps/
-/// --dispatch/--json/--graph/--algo/--graph-cache/--no-validate plus
+/// --batch-size/--json/--graph/--algo/--graph-cache/--no-validate plus
 /// scheduler tunables from argv. The bench figure binaries are thin
 /// wrappers over this.
 int run_suite_main(std::string_view suite_name, int argc, char** argv);

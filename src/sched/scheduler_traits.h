@@ -1,28 +1,16 @@
-// The scheduler concept family every priority scheduler in this library
-// models, and the per-thread *handle* API the executor runs on.
+// The scheduler concept every priority scheduler in this library models:
+// per-thread *handles*.
 //
-// Two layers:
-//
-//  * The classic tid-indexed surface (PriorityScheduler and friends),
-//    mirroring Galois' WorkList interface: `push(tid, t)`, `try_pop(tid)`,
-//    with optional flush/batch/stat extensions detected per scheduler.
-//    Every call re-derives the thread's state (local queue, RNG,
-//    stickiness slot, ...) from the tid.
-//  * The handle surface (SchedulerHandle / HandleScheduler): a scheduler
-//    hands out one lightweight `S::Handle` per thread via `s.handle(tid)`.
-//    The handle resolves the thread's slots *once* — it owns direct
-//    pointers into them — and exposes the uniform hot-path interface
-//    `push / try_pop / push_batch / try_pop_batch / flush / collect_stats`
-//    with no tid argument. The executor acquires one handle per thread
-//    per run, so per-op work drops to the operation itself.
-//
-// Schedulers that only implement the tid surface keep working: the
-// `handle_adapted()` shim wraps them in a TidHandle that forwards each
-// operation through the legacy calls (using the same *_adapted helpers
-// AnyScheduler's batch virtuals use), so the executor needs exactly one
-// code path. A handle's flush() must publish everything its scheduler's
-// tid-level flush would — the executor trusts an empty pop for
-// termination only after flushing through the handle.
+// A scheduler hands out one lightweight `S::Handle` per thread via
+// `s.handle(tid)`. The handle resolves the thread's slots (local queue,
+// RNG, stickiness slot, buffers) *once* — it owns direct pointers into
+// them — and exposes the uniform hot-path interface
+// `push / try_pop / push_batch / try_pop_batch / flush / collect_stats`
+// with no tid argument. The executor and the service acquire one handle
+// per thread per run, so per-op work is the operation itself. A handle's
+// flush() must publish everything the thread has buffered inside the
+// scheduler — the executor trusts an empty pop for termination only
+// after flushing through the handle.
 #pragma once
 
 #include <concepts>
@@ -36,46 +24,59 @@
 
 namespace smq {
 
-template <typename S>
-concept PriorityScheduler = requires(S s, unsigned tid, Task t) {
-  { s.push(tid, t) } -> std::same_as<void>;
-  { s.try_pop(tid) } -> std::same_as<std::optional<Task>>;
-  { s.num_threads() } -> std::convertible_to<unsigned>;
-};
-
-template <typename S>
-concept FlushableScheduler = PriorityScheduler<S> && requires(S s, unsigned tid) {
-  { s.flush(tid) } -> std::same_as<void>;
-};
-
-/// Schedulers with a native bulk insert (one lock acquisition / one
-/// boundary crossing for the whole span).
-template <typename S>
-concept BatchPushScheduler =
-    PriorityScheduler<S> &&
-    requires(S s, unsigned tid, std::span<const Task> tasks) {
-      { s.push_batch(tid, tasks) } -> std::same_as<void>;
+/// What a per-thread scheduler handle must offer: the complete hot-path
+/// vocabulary with the thread identity baked in at acquisition. flush()
+/// and collect_stats() are mandatory (no-ops where the scheduler buffers
+/// nothing / counts nothing) so generic code never probes capabilities
+/// mid-loop. collect_stats() folds the thread's scheduler-private
+/// counters (steals, NUMA remote touches, ...) into the executor's
+/// ThreadStats; it is called after the workers have joined.
+template <typename H>
+concept SchedulerHandle =
+    std::move_constructible<H> &&
+    requires(H h, const H ch, Task t, std::span<const Task> tasks,
+             std::vector<Task>& out, std::size_t max, ThreadStats& st) {
+      { h.push(t) } -> std::same_as<void>;
+      { h.try_pop() } -> std::same_as<std::optional<Task>>;
+      { h.push_batch(tasks) } -> std::same_as<void>;
+      { h.try_pop_batch(out, max) } -> std::convertible_to<std::size_t>;
+      { h.flush() } -> std::same_as<void>;
+      { ch.collect_stats(st) } -> std::same_as<void>;
+      { ch.thread_id() } -> std::convertible_to<unsigned>;
     };
 
-/// Schedulers with a native bulk extract: append up to `max` tasks to
-/// `out`, return how many were taken (0 = nothing available right now).
-template <typename S>
-concept BatchPopScheduler =
-    PriorityScheduler<S> &&
-    requires(S s, unsigned tid, std::vector<Task>& out, std::size_t max) {
-      { s.try_pop_batch(tid, out, max) } -> std::convertible_to<std::size_t>;
-    };
+/// Shared try_pop_batch fallback for handles without a native bulk
+/// extract: append up to `max` tasks to `out`, popping one at a time
+/// until `max` or the first empty pop, and return how many were taken
+/// (0 = nothing available for this thread right now). Unconstrained on
+/// purpose — it is called from inside Handle class bodies whose type is
+/// still incomplete at that point.
+template <typename H>
+std::size_t handle_pop_loop(H& handle, std::vector<Task>& out,
+                            std::size_t max) {
+  std::size_t taken = 0;
+  while (taken < max) {
+    std::optional<Task> task = handle.try_pop();
+    if (!task) break;
+    out.push_back(*task);
+    ++taken;
+  }
+  return taken;
+}
 
-/// Schedulers that keep their own per-thread counters (steals, NUMA
-/// remote touches, ...) and can fold them into the executor's
-/// ThreadStats after a run. The executor calls this once per thread,
-/// after the workers have joined, so implementations need no
-/// synchronization beyond plain reads of their own slots.
+/// A priority scheduler: `s.handle(tid)` resolves thread `tid`'s slots
+/// once and returns the lightweight view. Handles are views, not
+/// sessions — acquiring one is cheap and side-effect free, any number
+/// may exist for the same tid (though only one thread may *use* a given
+/// tid's state at a time), and they stay valid for the scheduler's
+/// lifetime.
 template <typename S>
-concept StatReportingScheduler =
-    PriorityScheduler<S> && requires(const S s, unsigned tid, ThreadStats& st) {
-      { s.collect_stats(tid, st) } -> std::same_as<void>;
-    };
+concept PriorityScheduler =
+    requires(S s, unsigned tid) {
+      typename S::Handle;
+      { s.handle(tid) } -> std::same_as<typename S::Handle>;
+      { s.num_threads() } -> std::convertible_to<unsigned>;
+    } && SchedulerHandle<typename S::Handle>;
 
 /// Schedulers whose lock-free structures defer memory reclamation
 /// through an EpochManager. quiesce(tid) is the idle hook: called on a
@@ -110,146 +111,5 @@ std::size_t memory_footprint_if_supported(const S& sched) {
   if constexpr (MemoryReportingScheduler<S>) return sched.memory_footprint();
   return 0;
 }
-
-/// Merge scheduler-private counters into `st` if the scheduler has any.
-template <PriorityScheduler S>
-void collect_stats_if_supported(const S& sched, unsigned tid, ThreadStats& st) {
-  if constexpr (StatReportingScheduler<S>) sched.collect_stats(tid, st);
-}
-
-/// Flush local insert buffers if the scheduler has any.
-template <PriorityScheduler S>
-void flush_if_supported(S& sched, unsigned tid) {
-  if constexpr (FlushableScheduler<S>) sched.flush(tid);
-}
-
-/// Bulk insert: native batch op when the scheduler has one, otherwise a
-/// plain per-task loop. Either way the caller pays one call per batch at
-/// its own dispatch boundary (the point of AnyScheduler's batch virtuals).
-template <PriorityScheduler S>
-void push_batch_adapted(S& sched, unsigned tid, std::span<const Task> tasks) {
-  if constexpr (BatchPushScheduler<S>) {
-    sched.push_batch(tid, tasks);
-  } else {
-    for (const Task& t : tasks) sched.push(tid, t);
-  }
-}
-
-/// Bulk extract into `out` (appended), up to `max` tasks; returns the
-/// number taken. The loop fallback stops at the first empty pop, so a 0
-/// return means the same thing it does for native implementations: the
-/// scheduler had nothing for this thread at this moment.
-template <PriorityScheduler S>
-std::size_t try_pop_batch_adapted(S& sched, unsigned tid,
-                                  std::vector<Task>& out, std::size_t max) {
-  if constexpr (BatchPopScheduler<S>) {
-    return sched.try_pop_batch(tid, out, max);
-  } else {
-    std::size_t taken = 0;
-    while (taken < max) {
-      std::optional<Task> task = sched.try_pop(tid);
-      if (!task) break;
-      out.push_back(*task);
-      ++taken;
-    }
-    return taken;
-  }
-}
-
-// ---- the per-thread handle surface ----------------------------------------
-
-/// What a per-thread scheduler handle must offer: the complete hot-path
-/// vocabulary with the thread identity baked in at acquisition. flush()
-/// and collect_stats() are mandatory (no-ops where the scheduler buffers
-/// nothing / counts nothing) so generic code never probes capabilities
-/// mid-loop.
-template <typename H>
-concept SchedulerHandle =
-    std::move_constructible<H> &&
-    requires(H h, const H ch, Task t, std::span<const Task> tasks,
-             std::vector<Task>& out, std::size_t max, ThreadStats& st) {
-      { h.push(t) } -> std::same_as<void>;
-      { h.try_pop() } -> std::same_as<std::optional<Task>>;
-      { h.push_batch(tasks) } -> std::same_as<void>;
-      { h.try_pop_batch(out, max) } -> std::convertible_to<std::size_t>;
-      { h.flush() } -> std::same_as<void>;
-      { ch.collect_stats(st) } -> std::same_as<void>;
-      { ch.thread_id() } -> std::convertible_to<unsigned>;
-    };
-
-/// Shared try_pop_batch fallback for handles without a native bulk
-/// extract: pop one at a time until `max` or the first empty pop, same
-/// contract as try_pop_batch_adapted. Unconstrained on purpose — it is
-/// called from inside Handle class bodies whose type is still
-/// incomplete at that point.
-template <typename H>
-std::size_t handle_pop_loop(H& handle, std::vector<Task>& out,
-                            std::size_t max) {
-  std::size_t taken = 0;
-  while (taken < max) {
-    std::optional<Task> task = handle.try_pop();
-    if (!task) break;
-    out.push_back(*task);
-    ++taken;
-  }
-  return taken;
-}
-
-/// A scheduler with native handles: `s.handle(tid)` resolves thread
-/// `tid`'s slots once and returns the lightweight view. Handles are
-/// views, not sessions — acquiring one is cheap and side-effect free,
-/// any number may exist for the same tid (though, like the tid calls
-/// they replace, only one thread may *use* a given tid's state at a
-/// time), and they stay valid for the scheduler's lifetime.
-template <typename S>
-concept HandleScheduler =
-    PriorityScheduler<S> && requires(S s, unsigned tid) {
-      typename S::Handle;
-      { s.handle(tid) } -> std::same_as<typename S::Handle>;
-    } && SchedulerHandle<typename S::Handle>;
-
-/// Handle shim for tid-indexed schedulers: forwards every operation
-/// through the legacy calls, probing the optional concepts exactly like
-/// the pre-handle executor did. This is what keeps a minimal
-/// push/try_pop/num_threads scheduler usable during (and after) the
-/// handle migration.
-template <PriorityScheduler S>
-class TidHandle {
- public:
-  TidHandle(S& sched, unsigned tid) noexcept : sched_(&sched), tid_(tid) {}
-
-  void push(Task t) { sched_->push(tid_, t); }
-  std::optional<Task> try_pop() { return sched_->try_pop(tid_); }
-  void push_batch(std::span<const Task> tasks) {
-    push_batch_adapted(*sched_, tid_, tasks);
-  }
-  std::size_t try_pop_batch(std::vector<Task>& out, std::size_t max) {
-    return try_pop_batch_adapted(*sched_, tid_, out, max);
-  }
-  void flush() { flush_if_supported(*sched_, tid_); }
-  void collect_stats(ThreadStats& st) const {
-    collect_stats_if_supported(*sched_, tid_, st);
-  }
-  unsigned thread_id() const noexcept { return tid_; }
-
- private:
-  S* sched_;
-  unsigned tid_;
-};
-
-/// The one way generic code acquires a handle: the scheduler's native
-/// handle when it has one, the TidHandle shim otherwise.
-template <PriorityScheduler S>
-auto handle_adapted(S& sched, unsigned tid) {
-  if constexpr (HandleScheduler<S>) {
-    return sched.handle(tid);
-  } else {
-    return TidHandle<S>(sched, tid);
-  }
-}
-
-/// The handle type handle_adapted() yields for S.
-template <PriorityScheduler S>
-using HandleOf = decltype(handle_adapted(std::declval<S&>(), 0u));
 
 }  // namespace smq

@@ -45,11 +45,9 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -61,6 +59,7 @@
 #include "service/query.h"
 #include "service/versioned_labels.h"
 #include "support/mutex.h"
+#include "support/padding.h"
 #include "support/spinlock.h"
 #include "support/thread_annotations.h"
 
@@ -122,7 +121,7 @@ class SchedulerService final : public QueryService {
       // Scheduler-private counters (steal tallies, NUMA attribution)
       // fold into the per-thread slots only now, as in run_parallel.
       for (unsigned tid = 0; tid < workers_; ++tid) {
-        handle_adapted(sched_, tid).collect_stats(stats_.of(tid));
+        sched_.handle(tid).collect_stats(stats_.of(tid));
       }
     }
     stopped_ = true;
@@ -253,60 +252,31 @@ class SchedulerService final : public QueryService {
   }
 
   void worker(unsigned tid) {
-    auto handle = handle_adapted(sched_, tid);
-    if (opts_.batch_size > 1) {
-      service_loop<true>(handle, stats_.of(tid));
-    } else {
-      service_loop<false>(handle, stats_.of(tid));
-    }
+    auto handle = sched_.handle(tid);
+    service_loop(handle, stats_.of(tid));
   }
 
-  template <bool kBatched, typename H>
+  template <typename H>
   void service_loop(H& handle, ThreadStats& stats) {
     WorkerBuffers bufs;
     const std::size_t batch = opts_.batch_size;
-    using Ctx = std::conditional_t<kBatched, BatchWorkContext<H>, WorkContext<H>>;
-    Ctx ctx = [&] {
-      if constexpr (kBatched) {
-        bufs.pop.reserve(batch);
-        return Ctx(handle, pending_, stats, bufs.push, batch);
-      } else {
-        return Ctx(handle, pending_, stats);
-      }
-    }();
+    TaskContext<H> ctx(handle, pending_, stats, bufs.push, batch);
+    bufs.pop.reserve(batch);
     Backoff backoff;
     std::vector<Task> seeds;
     std::vector<Completion> done;
-    Task single{};
     while (true) {
-      std::size_t taken = 0;
-      if constexpr (kBatched) {
-        bufs.pop.clear();
-        taken = handle.try_pop_batch(bufs.pop, batch);
-        if (taken > 0) {
-          backoff.reset();
-          stats.pops += taken;
-          for (const Task& t : bufs.pop) execute_task(t, ctx);
-        }
-      } else {
-        if (std::optional<Task> t = handle.try_pop()) {
-          taken = 1;
-          backoff.reset();
-          ++stats.pops;
-          single = *t;
-          execute_task(single, ctx);
-        }
-      }
+      bufs.pop.clear();
+      const std::size_t taken = handle.try_pop_batch(bufs.pop, batch);
       if (taken > 0) {
+        backoff.reset();
+        stats.pops += taken;
+        for (const Task& t : bufs.pop) execute_task(t, ctx);
         // Children first (flush), then retire — a job's pending count
         // must cover its still-buffered children, and the global
         // counter must cover every lane until its tasks are retired.
         ctx.flush();
-        if constexpr (kBatched) {
-          for (const Task& t : bufs.pop) retire_task(t, done);
-        } else {
-          retire_task(single, done);
-        }
+        for (const Task& t : bufs.pop) retire_task(t, done);
         pending_.fetch_sub(static_cast<std::int64_t>(taken),
                            std::memory_order_acq_rel);
         if (!done.empty()) {
@@ -448,7 +418,7 @@ class SchedulerService final : public QueryService {
     }
     mutex_.unlock();
     if (seeds.empty()) return false;
-    // Counter before visibility, exactly like BatchWorkContext::flush.
+    // Counter before visibility, exactly like TaskContext::flush.
     stats.pushes += seeds.size();
     pending_.fetch_add(static_cast<std::int64_t>(seeds.size()),
                        std::memory_order_relaxed);
@@ -476,9 +446,13 @@ class SchedulerService final : public QueryService {
   std::vector<std::unique_ptr<Lane>> lanes_;
 
   /// Global unretired-task counter across all in-flight queries; gates
-  /// parking, never termination.
-  std::atomic<std::int64_t> pending_{0};
-  std::atomic<std::uint64_t> queries_completed_{0};
+  /// parking, never termination. Every worker updates it once per batch,
+  /// so it gets a cache line of its own, away from the read-mostly fields
+  /// above (graph_, opts_, lanes_, read on every task). Without the
+  /// padding, astar-service drain time moved by ~20% with unrelated code
+  /// changes elsewhere in the build.
+  alignas(kFalseSharingRange) std::atomic<std::int64_t> pending_{0};
+  alignas(kFalseSharingRange) std::atomic<std::uint64_t> queries_completed_{0};
   std::atomic<std::uint64_t> queued_{0};  // lock-free mirror of queue_.size()
 
   // Admission queue, free lanes, and run-state flags: plain data under

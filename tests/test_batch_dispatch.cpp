@@ -1,11 +1,10 @@
-// Tests for the batched + static-dispatch hot path: batch push/pop
-// round-trips on every registered scheduler, dispatch-mode equivalence
-// against the sequential oracle, and executor termination with batching
-// at awkward batch sizes.
+// Tests for the batched hot path: batch push/pop round-trips through the
+// erased handles of every registered scheduler, batch-size-1 and batched
+// runs against the sequential oracle, and executor termination at
+// awkward batch sizes.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <span>
 #include <vector>
@@ -18,22 +17,17 @@
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 #include "registry/scheduler_registry.h"
-#include "registry/static_dispatch.h"
 #include "sched/executor.h"
 
 namespace smq {
 namespace {
 
-// The batch concepts must detect the native implementations and the
-// erased boundary alike.
-static_assert(BatchPushScheduler<StealingMultiQueue<>>);
-static_assert(BatchPopScheduler<StealingMultiQueue<>>);
-static_assert(BatchPushScheduler<OptimizedMultiQueue>);
-static_assert(BatchPopScheduler<OptimizedMultiQueue>);
-static_assert(BatchPushScheduler<GlobalHeapScheduler>);
-static_assert(BatchPopScheduler<GlobalHeapScheduler>);
-static_assert(BatchPushScheduler<AnyScheduler>);
-static_assert(BatchPopScheduler<AnyScheduler>);
+// The batch entry points are part of every handle: the native
+// implementations and the erased boundary alike.
+static_assert(SchedulerHandle<StealingMultiQueue<>::Handle>);
+static_assert(SchedulerHandle<OptimizedMultiQueue::Handle>);
+static_assert(SchedulerHandle<GlobalHeapScheduler::Handle>);
+static_assert(SchedulerHandle<AnyScheduler::Handle>);
 
 TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
   constexpr unsigned kThreads = 2;
@@ -41,6 +35,10 @@ TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
   for (const SchedulerEntry& entry : SchedulerRegistry::instance().entries()) {
     const unsigned threads = effective_threads(entry, kThreads);
     AnyScheduler sched = entry.make(threads, {});
+    std::vector<AnyScheduler::Handle> handles;
+    for (unsigned tid = 0; tid < threads; ++tid) {
+      handles.push_back(sched.handle(tid));
+    }
 
     std::vector<Task> tasks;
     for (std::uint64_t i = 0; i < kTasks; ++i) {
@@ -48,12 +46,12 @@ TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
     }
     // Split the batch across the available tids.
     const std::size_t half = threads > 1 ? kTasks / 2 : kTasks;
-    sched.push_batch(0, std::span<const Task>(tasks.data(), half));
+    handles[0].push_batch(std::span<const Task>(tasks.data(), half));
     if (threads > 1) {
-      sched.push_batch(1, std::span<const Task>(tasks.data() + half,
-                                                kTasks - half));
+      handles[1].push_batch(
+          std::span<const Task>(tasks.data() + half, kTasks - half));
     }
-    for (unsigned tid = 0; tid < threads; ++tid) sched.flush(tid);
+    for (auto& handle : handles) handle.flush();
 
     // Drain through the batch interface, alternating tids. Single pops
     // can transiently fail (e.g. a failed steal), so only stop after
@@ -65,7 +63,7 @@ TEST(BatchDispatch, RoundTripOnEveryRegisteredScheduler) {
       bool any = false;
       for (unsigned tid = 0; tid < threads; ++tid) {
         out.clear();
-        const std::size_t n = sched.try_pop_batch(tid, out, 7);
+        const std::size_t n = handles[tid].try_pop_batch(out, 7);
         ASSERT_EQ(n, out.size()) << entry.name;
         for (const Task& t : out) popped.insert(t.payload);
         any = any || n > 0;
@@ -89,7 +87,8 @@ TEST(BatchDispatch, DispatchModesAgreeWithOracle) {
   ASSERT_NE(algo, nullptr);
   const AlgoReference ref = algo->make_reference(graph, params);
 
-  for (const std::string& name : static_dispatch_keys()) {
+  for (const char* name : {"smq", "smq-skiplist", "mq", "mq-opt", "obim",
+                           "pmod"}) {
     const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
     ASSERT_NE(entry, nullptr) << name;
     const unsigned threads = effective_threads(*entry, 4);
@@ -110,35 +109,7 @@ TEST(BatchDispatch, DispatchModesAgreeWithOracle) {
       EXPECT_TRUE(result.validated && result.valid) << name << " batched";
       EXPECT_EQ(result.answer, ref.reference_answer) << name << " batched";
     }
-    // Static.
-    {
-      const std::optional<AlgoResult> result =
-          run_static_dispatch(name, "sssp", graph, threads, params, &ref);
-      ASSERT_TRUE(result.has_value()) << name;
-      EXPECT_TRUE(result->validated && result->valid) << name << " static";
-      EXPECT_EQ(result->answer, ref.reference_answer) << name << " static";
-    }
   }
-}
-
-TEST(BatchDispatch, StaticDispatchCoversAllRegisteredAlgorithms) {
-  ParamMap params;
-  params.set("vertices", "400");
-  params.set("seed", "3");
-  const GraphInstance graph = GraphRegistry::instance().create("rand", params);
-  for (const AlgorithmEntry& algo : AlgorithmRegistry::instance().entries()) {
-    const AlgoReference ref = algo.make_reference(graph, params);
-    const std::optional<AlgoResult> result =
-        run_static_dispatch("smq", algo.name, graph, 2, params, &ref);
-    ASSERT_TRUE(result.has_value()) << algo.name;
-    EXPECT_TRUE(result->validated && result->valid) << algo.name;
-  }
-  EXPECT_FALSE(
-      run_static_dispatch("spraylist", "sssp", graph, 2, params, nullptr)
-          .has_value());
-  EXPECT_FALSE(run_static_dispatch("smq", "no-such-algo", graph, 2, params,
-                                   nullptr)
-                   .has_value());
 }
 
 /// Cascading workload: every task of priority p < depth spawns `fanout`
@@ -169,7 +140,7 @@ TEST(BatchDispatch, BatchedExecutorTerminatesAtAwkwardBatchSizes) {
   for (std::uint64_t level = 0; level <= kDepth; ++level, power *= kFanout) {
     expected += power;
   }
-  // 1 = classic loop; 3 = flushes mid-task; 27 = exact multiple of the
+  // 1 = per-task pop and push; 3 = flushes mid-task; 27 = exact multiple of the
   // fanout; 100000 = larger than the whole task graph (single flush).
   for (const std::size_t batch_size : {1ul, 3ul, 27ul, 100000ul}) {
     for (const char* name : {"smq", "mq-opt", "obim", "chunk-bag"}) {
@@ -182,9 +153,8 @@ TEST(BatchDispatch, BatchedExecutorTerminatesAtAwkwardBatchSizes) {
 }
 
 TEST(BatchDispatch, BatchedPushesCountedOncePerTask) {
-  // The batched context must report the same per-task push/pop stats as
-  // the per-task loop even though the pending counter is updated once
-  // per flush.
+  // The batched context must report per-task push/pop stats even though
+  // the pending counter is updated once per flush.
   AnyScheduler sched = SchedulerRegistry::instance().create("smq", 2, {});
   std::vector<Task> seeds;
   for (std::uint64_t i = 0; i < 50; ++i) seeds.push_back(Task{i, i});

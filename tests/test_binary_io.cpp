@@ -1,6 +1,6 @@
 // Tests for the binary CSR graph cache: v2 (direct-CSR, mmap-able)
-// round-trips, v1 read compatibility, and the corruption fixtures a
-// trusted-on-disk format must reject — bad magic, bad version,
+// round-trips, rejection of the retired v1 format, and the corruption
+// fixtures a trusted-on-disk format must reject — bad magic, bad version,
 // truncated arrays, oversized counts (which must throw, not attempt a
 // multi-exabyte allocation), and inconsistent CSR offsets.
 #include "graph/binary_io.h"
@@ -96,14 +96,40 @@ TEST(BinaryIo, V2HeaderIsAlignmentPadded) {
   EXPECT_EQ(serialized(g).size(), kHeaderSize + 8);
 }
 
-TEST(BinaryIo, V1ReadCompat) {
-  const Graph g = make_road_like(300, {.seed = 4});
-  std::stringstream buffer;
-  write_binary_graph_v1(buffer, g);
-  const Graph back = read_binary_graph(buffer);
-  expect_graphs_equal(g, back);
-  ASSERT_FALSE(back.coordinates().empty());
-  EXPECT_DOUBLE_EQ(back.coordinates().x[7], g.coordinates().x[7]);
+/// A file stamped with the retired format version 1. `padded` keeps the
+/// v2 payload after the stamp, so the file is long enough for the mmap
+/// reader to map it; otherwise it is the complete v1 encoding of an
+/// edgeless 3-vertex graph (magic, version, |V|, three empty edge
+/// arrays, no coordinates), shorter than a v2 header.
+std::string v1_stamped(bool padded) {
+  const std::uint32_t version = 1;
+  if (padded) {
+    std::string bytes = serialized(make_erdos_renyi(20, 40, 2));
+    std::memcpy(bytes.data() + 8, &version, 4);
+    return bytes;
+  }
+  std::string bytes = serialized(Graph::from_edges(0, {})).substr(0, 8);  // magic
+  const std::uint32_t vertices = 3;
+  const std::uint64_t empty = 0;
+  bytes.append(reinterpret_cast<const char*>(&version), 4);
+  bytes.append(reinterpret_cast<const char*>(&vertices), 4);
+  for (int array = 0; array < 3; ++array) {
+    bytes.append(reinterpret_cast<const char*>(&empty), 8);
+  }
+  bytes.push_back('\0');
+  return bytes;
+}
+
+TEST(BinaryIo, StreamAndMmapReadersRejectV1Header) {
+  for (const bool padded : {false, true}) {
+    SCOPED_TRACE(padded ? "v1 stamp on a v2-sized file" : "complete v1 file");
+    const std::string bytes = v1_stamped(padded);
+    std::stringstream in(bytes);
+    EXPECT_THROW(read_binary_graph(in), std::runtime_error);
+    const std::string path = temp_file("smq_v1.bin", bytes);
+    EXPECT_THROW(load_binary_graph_mmap(path), std::runtime_error);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(BinaryIo, RejectsBadMagic) {
@@ -144,17 +170,6 @@ TEST(BinaryIo, RejectsOversizedVertexCount) {
 TEST(BinaryIo, RejectsOversizedEdgeCount) {
   std::string bytes = serialized(make_erdos_renyi(20, 40, 2));
   patch_u64(bytes, kEdgesOffset, 1ull << 60);
-  std::stringstream in(bytes);
-  EXPECT_THROW(read_binary_graph(in), std::runtime_error);
-}
-
-TEST(BinaryIo, RejectsOversizedV1Count) {
-  const Graph g = make_erdos_renyi(20, 40, 2);
-  std::stringstream buffer;
-  write_binary_graph_v1(buffer, g);
-  std::string bytes = buffer.str();
-  // v1: magic(8) + version(4) + V(4), then the `from` vector count.
-  patch_u64(bytes, 16, 1ull << 60);
   std::stringstream in(bytes);
   EXPECT_THROW(read_binary_graph(in), std::runtime_error);
 }
@@ -229,17 +244,6 @@ TEST(BinaryIoMmap, CopiesShareMappingAndOutliveOriginal) {
   }
   // The original is gone; the copy's backing keeps the mapping alive.
   expect_graphs_equal(g, copy);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIoMmap, V1FileFallsBackToStreamReader) {
-  const Graph g = make_erdos_renyi(60, 240, 8);
-  std::stringstream buffer;
-  write_binary_graph_v1(buffer, g);
-  const std::string path = temp_file("smq_mmap_v1.bin", buffer.str());
-  const Graph back = load_binary_graph_mmap(path);
-  expect_graphs_equal(g, back);
-  EXPECT_FALSE(back.is_mapped());  // v1 rebuilds an owned edge list
   std::remove(path.c_str());
 }
 

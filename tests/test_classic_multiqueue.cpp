@@ -23,10 +23,11 @@ TEST(ClassicMultiQueue, QueueCountIsCTimesThreads) {
 
 TEST(ClassicMultiQueue, SingleThreadRoundTrip) {
   ClassicMultiQueue mq(1, {.queue_multiplier = 4});
-  for (std::uint64_t p = 0; p < 50; ++p) mq.push(0, Task{p, p});
+  auto h0 = mq.handle(0);
+  for (std::uint64_t p = 0; p < 50; ++p) h0.push(Task{p, p});
   EXPECT_EQ(mq.approx_size(), 50u);
   std::vector<std::uint64_t> got;
-  while (auto t = mq.try_pop(0)) got.push_back(t->priority);
+  while (auto t = h0.try_pop()) got.push_back(t->priority);
   ASSERT_EQ(got.size(), 50u);
   std::sort(got.begin(), got.end());
   for (std::uint64_t p = 0; p < 50; ++p) EXPECT_EQ(got[p], p);
@@ -38,11 +39,12 @@ TEST(ClassicMultiQueue, TwoChoiceKeepsRankModerate) {
   // far below random single-choice.
   const unsigned kThreads = 4;
   ClassicMultiQueue mq(kThreads, {.queue_multiplier = 2, .seed = 3});
+  auto h0 = mq.handle(0);
   const std::uint64_t kTasks = 20000;
-  for (std::uint64_t p = 0; p < kTasks; ++p) mq.push(0, Task{p, p});
+  for (std::uint64_t p = 0; p < kTasks; ++p) h0.push(Task{p, p});
   std::uint64_t popped = 0;
   double rank_error_sum = 0;
-  while (auto t = mq.try_pop(0)) {
+  while (auto t = h0.try_pop()) {
     // Rank error lower bound: how far behind the global front this pop is.
     rank_error_sum +=
         static_cast<double>(t->priority > popped ? t->priority - popped : 0);
@@ -65,20 +67,21 @@ TEST(ClassicMultiQueue, ConcurrentNoLossNoDuplication) {
     std::vector<std::jthread> workers;
     for (unsigned tid = 0; tid < kThreads; ++tid) {
       workers.emplace_back([&, tid] {
+        auto h = mq.handle(tid);
         std::vector<std::uint64_t> local;
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
-          mq.push(tid, Task{i, tid * kPerThread + i});
+          h.push(Task{i, tid * kPerThread + i});
           if (i % 2 == 1) {
-            if (auto t = mq.try_pop(tid)) local.push_back(t->payload);
+            if (auto t = h.try_pop()) local.push_back(t->payload);
           }
         }
-        while (auto t = mq.try_pop(tid)) local.push_back(t->payload);
+        while (auto t = h.try_pop()) local.push_back(t->payload);
         std::lock_guard<std::mutex> guard(merge_mutex);
         for (const std::uint64_t id : local) ++seen[id];
       });
     }
   }
-  while (auto t = mq.try_pop(0)) ++seen[t->payload];
+  while (auto t = mq.handle(0).try_pop()) ++seen[t->payload];
 
   EXPECT_EQ(seen.size(), kThreads * kPerThread);
   for (const auto& [id, count] : seen) {
@@ -93,20 +96,24 @@ TEST(ClassicMultiQueue, NumaWeightedSamplingStillCorrect) {
                                   .seed = 7,
                                   .topology = &topo,
                                   .numa_weight_k = 16.0});
-  for (std::uint64_t p = 0; p < 1000; ++p) mq.push(p % kThreads, Task{p, p});
+  for (std::uint64_t p = 0; p < 1000; ++p) {
+    mq.handle(static_cast<unsigned>(p % kThreads)).push(Task{p, p});
+  }
   std::map<std::uint64_t, int> seen;
   for (unsigned tid = 0; tid < kThreads; ++tid) {
-    while (auto t = mq.try_pop(tid)) ++seen[t->payload];
+    while (auto t = mq.handle(tid).try_pop()) ++seen[t->payload];
   }
   EXPECT_EQ(seen.size(), 1000u);
 }
 
 TEST(ClassicMultiQueue, EmptyPopReturnsNullopt) {
   ClassicMultiQueue mq(2, {});
-  EXPECT_FALSE(mq.try_pop(0).has_value());
-  mq.push(0, Task{1, 1});
-  EXPECT_TRUE(mq.try_pop(1).has_value());
-  EXPECT_FALSE(mq.try_pop(1).has_value());
+  auto h0 = mq.handle(0);
+  auto h1 = mq.handle(1);
+  EXPECT_FALSE(h0.try_pop().has_value());
+  h0.push(Task{1, 1});
+  EXPECT_TRUE(h1.try_pop().has_value());
+  EXPECT_FALSE(h1.try_pop().has_value());
 }
 
 }  // namespace

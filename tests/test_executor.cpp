@@ -18,8 +18,6 @@ static_assert(PriorityScheduler<SequentialScheduler>);
 static_assert(PriorityScheduler<ClassicMultiQueue>);
 static_assert(PriorityScheduler<OptimizedMultiQueue>);
 static_assert(PriorityScheduler<StealingMultiQueue<>>);
-static_assert(!FlushableScheduler<ClassicMultiQueue>);
-static_assert(FlushableScheduler<OptimizedMultiQueue>);
 
 TEST(Executor, RunsAllSeedTasksOnce) {
   SequentialScheduler sched;

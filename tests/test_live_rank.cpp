@@ -9,6 +9,7 @@
 #include "queues/reld.h"
 #include "queues/sequential_scheduler.h"
 #include "queues/spraylist.h"
+#include "registry/scheduler_registry.h"
 
 namespace smq {
 namespace {
@@ -73,6 +74,21 @@ TEST(LiveRank, SprayListRelaxedButBounded) {
   const LiveRankResult r = measure_live_rank(spray, kElements);
   EXPECT_EQ(r.pops, kElements);
   EXPECT_LT(r.mean_rank, static_cast<double>(kElements) / 8);
+}
+
+TEST(LiveRank, DrainsTasksHiddenInOneThreadsBuffers) {
+  // mq-opt's delete batches and obim's pop chunks hide tasks from every
+  // identity but their owner. At these seeds the random rotation gives
+  // up with tasks still buffered (after 99998 and 99993 pops for mq-opt,
+  // 99988 and 99983 for obim); the probe must still drain them all.
+  constexpr std::size_t kAll = 100000;
+  for (const char* name : {"mq-opt", "obim"}) {
+    for (const std::uint64_t seed : {3u, 4u}) {
+      AnyScheduler sched = SchedulerRegistry::instance().create(name, 4, {});
+      const LiveRankResult r = measure_live_rank(sched, kAll, seed);
+      EXPECT_EQ(r.pops, kAll) << name << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace

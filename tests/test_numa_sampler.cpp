@@ -14,7 +14,6 @@
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
 #include "registry/numa_grid.h"
-#include "registry/scheduler_configs.h"
 #include "registry/scheduler_registry.h"
 #include "sched/executor.h"
 #include "sched/topology.h"
@@ -175,8 +174,8 @@ TEST(NumaSampler, SmqVictimResamplingIsBounded) {
   cfg.topology = &topo;
   cfg.numa_weight_k = 1e9;
   SmqHeap smq(2, cfg);
-  for (std::uint64_t i = 0; i < 64; ++i) smq.push(0, Task{i, i});
-  const std::optional<Task> stolen = smq.try_pop(1);
+  for (std::uint64_t i = 0; i < 64; ++i) smq.handle(0).push(Task{i, i});
+  const std::optional<Task> stolen = smq.handle(1).try_pop();
   ASSERT_TRUE(stolen.has_value());
   EXPECT_EQ(stolen->priority, 0u);
   EXPECT_GT(smq.steals(1), 0u);
@@ -284,20 +283,19 @@ TEST(NumaGrid, RejectsMalformedSpecs) {
 }
 
 TEST(NumaGrid, ApplyPointDrivesTopologyRebuild) {
-  // The driver rewrites `numa` per grid point; the scheduler configs
+  // The driver rewrites `numa` per grid point; the scheduler factory
   // must rebuild the topology accordingly.
   ParamMap params;
   apply_numa_point(params, NumaGridPoint{.nodes = 4, .k = 16, .k_set = true});
-  std::shared_ptr<Topology> topo;
-  const SmqConfig cfg = make_smq_config(8, params, topo);
-  ASSERT_NE(topo, nullptr);
-  EXPECT_EQ(topo->num_nodes(), 4u);
+  AnyScheduler numa = SchedulerRegistry::instance().create("smq", 8, params);
+  const SmqConfig& cfg = numa.get_if<SmqHeap>()->config();
+  ASSERT_NE(cfg.topology, nullptr);
+  EXPECT_EQ(cfg.topology->num_nodes(), 4u);
   EXPECT_EQ(cfg.numa_weight_k, 16.0);
 
   apply_numa_point(params, NumaGridPoint{.nodes = 1});
-  std::shared_ptr<Topology> uma;
-  make_smq_config(8, params, uma);
-  EXPECT_EQ(uma, nullptr);
+  AnyScheduler uma = SchedulerRegistry::instance().create("smq", 8, params);
+  EXPECT_EQ(uma.get_if<SmqHeap>()->config().topology, nullptr);
 }
 
 }  // namespace

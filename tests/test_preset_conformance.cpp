@@ -3,30 +3,16 @@
 // mq-tl-p*, reld-c*, mq-opt-*) — must actually execute: SSSP and BFS on
 // a random graph at 1 and 4 threads, validated against the sequential
 // oracle. No future preset can land unexecuted, because this suite
-// enumerates the registry listing rather than naming schedulers.
-//
-// Also the static/virtual consistency self-check: every key with a
-// static-dispatch row must resolve to the same underlying config on
-// both paths. Presets share one param-resolution function
-// (resolve_preset_params) between their virtual factory and
-// run_static_dispatch, and this test pins that equivalence down at the
-// config-struct level.
+// enumerates the registry listing rather than naming schedulers. Also
+// the preset param-resolution rules: pinned knobs win, defaults yield.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
-#include "core/stealing_multiqueue.h"
-#include "queues/chunk_bag.h"
-#include "queues/classic_multiqueue.h"
 #include "queues/mq_variants.h"
-#include "queues/obim.h"
-#include "queues/skiplist.h"
 #include "registry/algorithm_registry.h"
 #include "registry/graph_registry.h"
-#include "registry/scheduler_configs.h"
 #include "registry/scheduler_registry.h"
-#include "registry/static_dispatch.h"
 
 namespace smq {
 namespace {
@@ -96,94 +82,6 @@ TEST(PresetConformance, PresetDefaultsYieldToCallerParams) {
   EXPECT_EQ(mq->config().delete_policy, DeletePolicy::kTemporalLocality);
   EXPECT_DOUBLE_EQ(mq->config().p_insert_change, 0.25);      // caller
   EXPECT_DOUBLE_EQ(mq->config().p_delete_change, 1.0 / 16);  // default
-}
-
-/// Obim clamps chunk_size into [1, Chunk::kCapacity] at construction;
-/// mirror it so the config comparison checks what actually runs.
-ObimConfig clamped(ObimConfig cfg) {
-  if (cfg.chunk_size == 0) cfg.chunk_size = 1;
-  if (cfg.chunk_size > Chunk::kCapacity) cfg.chunk_size = Chunk::kCapacity;
-  return cfg;
-}
-
-/// The registry self-check (ISSUE 4 satellite): every key with a
-/// static-dispatch row — including every preset whose family has one —
-/// must hand the same underlying config to the static path as the
-/// virtual factory builds. A mismatch here means `--dispatch static`
-/// would silently benchmark a different configuration.
-TEST(PresetConformance, StaticDispatchResolvesTheSameConfigAsVirtual) {
-  using SmqHeap = StealingMultiQueue<DAryHeap<Task, 4>>;
-  using SmqSkipList = StealingMultiQueue<SequentialSkipList>;
-  const unsigned threads = 4;
-  unsigned checked = 0;
-  for (const SchedulerEntry& entry : SchedulerRegistry::instance().entries()) {
-    if (!has_static_dispatch(entry.name)) continue;
-    SCOPED_TRACE(entry.name);
-    const std::string family = entry.family.empty() ? entry.name : entry.family;
-    // What run_static_dispatch feeds the family's config builder...
-    const ParamMap resolved = resolve_preset_params(entry, {});
-    // ...versus the concrete scheduler the virtual factory constructed.
-    AnyScheduler sched = entry.make(threads, {});
-    std::shared_ptr<Topology> topo;
-    if (family == "smq") {
-      auto* s = sched.get_if<SmqHeap>();
-      ASSERT_NE(s, nullptr);
-      EXPECT_EQ(s->config(), make_smq_config(threads, resolved, topo));
-    } else if (family == "smq-skiplist") {
-      auto* s = sched.get_if<SmqSkipList>();
-      ASSERT_NE(s, nullptr);
-      EXPECT_EQ(s->config(), make_smq_config(threads, resolved, topo));
-    } else if (family == "mq") {
-      auto* s = sched.get_if<ClassicMultiQueue>();
-      ASSERT_NE(s, nullptr);
-      EXPECT_EQ(s->config(), make_classic_mq_config(threads, resolved, topo));
-    } else if (family == "mq-opt") {
-      auto* s = sched.get_if<OptimizedMultiQueue>();
-      ASSERT_NE(s, nullptr);
-      EXPECT_EQ(s->config(), make_optimized_mq_config(threads, resolved, topo));
-    } else if (family == "obim") {
-      auto* s = sched.get_if<Obim>();
-      ASSERT_NE(s, nullptr);
-      EXPECT_EQ(s->config(), clamped(make_obim_config(threads, resolved, topo)));
-    } else if (family == "pmod") {
-      auto* s = sched.get_if<Pmod>();
-      ASSERT_NE(s, nullptr);
-      ObimConfig expected = make_pmod_config(threads, resolved, topo);
-      expected.adaptive = true;  // the Pmod constructor's one amendment
-      EXPECT_EQ(s->config(), clamped(expected));
-    } else {
-      ADD_FAILURE() << "static family '" << family
-                    << "' has no config check; add one here";
-    }
-    ++checked;
-  }
-  // smq(+6 presets), smq-skiplist(+5), mq(+5), mq-opt(+10), obim(+6),
-  // pmod(+6): the check must cover the whole static-capable namespace.
-  EXPECT_GE(checked, 44u);
-}
-
-/// Static dispatch must execute preset keys end to end (not merely
-/// resolve them): run a representative of each family through
-/// run_static_dispatch and validate against the oracle.
-TEST(PresetConformance, StaticDispatchRunsPresetKeysEndToEnd) {
-  const GraphInstance& inst = small_graph();
-  const AlgorithmEntry* sssp = AlgorithmRegistry::instance().find("sssp");
-  ASSERT_NE(sssp, nullptr);
-  const AlgoReference ref = sssp->make_reference(inst, {});
-  for (const char* preset : {"smq-p8", "smq-sl-p4", "mq-c2", "mq-tl-p16",
-                             "mq-opt-full", "obim-d4", "pmod-d2"}) {
-    SCOPED_TRACE(preset);
-    ASSERT_TRUE(has_static_dispatch(preset));
-    const std::optional<AlgoResult> result =
-        run_static_dispatch(preset, "sssp", inst, 2, {}, &ref);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_TRUE(result->validated);
-    EXPECT_TRUE(result->valid);
-  }
-  // The long tail stays virtual-only — and says so via the predicate.
-  EXPECT_FALSE(has_static_dispatch("reld-c2"));
-  EXPECT_FALSE(has_static_dispatch("chunk-bag"));
-  EXPECT_FALSE(has_static_dispatch("no-such-sched"));
 }
 
 }  // namespace

@@ -27,9 +27,10 @@ TYPED_TEST_SUITE(SmqTyped, SmqTypes);
 
 TYPED_TEST(SmqTyped, SingleThreadDrainsEverything) {
   TypeParam smq(1, {.steal_size = 4, .p_steal = 0.5});
-  for (std::uint64_t p = 0; p < 100; ++p) smq.push(0, Task{p, p});
+  auto h0 = smq.handle(0);
+  for (std::uint64_t p = 0; p < 100; ++p) h0.push(Task{p, p});
   std::vector<std::uint64_t> got;
-  while (auto t = smq.try_pop(0)) got.push_back(t->priority);
+  while (auto t = h0.try_pop()) got.push_back(t->priority);
   ASSERT_EQ(got.size(), 100u);
   std::sort(got.begin(), got.end());
   for (std::uint64_t p = 0; p < 100; ++p) EXPECT_EQ(got[p], p);
@@ -40,9 +41,10 @@ TYPED_TEST(SmqTyped, SingleThreadRespectsPriorityOrder) {
   // exact priority order (modulo the batch already in the buffer, which
   // also holds the best tasks).
   TypeParam smq(1, {.steal_size = 1, .p_steal = 0.0});
-  for (std::uint64_t p : {5, 2, 9, 1, 7}) smq.push(0, Task{p, p});
+  auto h0 = smq.handle(0);
+  for (std::uint64_t p : {5, 2, 9, 1, 7}) h0.push(Task{p, p});
   std::vector<std::uint64_t> got;
-  while (auto t = smq.try_pop(0)) got.push_back(t->priority);
+  while (auto t = h0.try_pop()) got.push_back(t->priority);
   EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 2, 5, 7, 9}));
 }
 
@@ -51,8 +53,10 @@ TYPED_TEST(SmqTyped, CrossThreadStealWorks) {
   // Thread 0 owns all tasks; thread 1 steals the published batch. Tasks
   // still in the owner's heap stay invisible until the owner republishes
   // (by touching its queue), exactly as in Listing 4.
-  for (std::uint64_t p = 0; p < 10; ++p) smq.push(0, Task{p, p});
-  auto stolen = smq.try_pop(1);
+  auto h0 = smq.handle(0);
+  auto h1 = smq.handle(1);
+  for (std::uint64_t p = 0; p < 10; ++p) h0.push(Task{p, p});
+  auto stolen = h1.try_pop();
   ASSERT_TRUE(stolen.has_value());
   EXPECT_EQ(stolen->priority, 0u);  // the published batch held the best task
   EXPECT_GT(smq.steals(1), 0u);
@@ -60,19 +64,20 @@ TYPED_TEST(SmqTyped, CrossThreadStealWorks) {
   // Owner and thief alternate; between them every task must surface.
   std::vector<std::uint64_t> got{stolen->priority};
   while (got.size() < 10) {
-    if (auto t = smq.try_pop(0)) got.push_back(t->priority);  // owner refills
-    if (auto t = smq.try_pop(1)) got.push_back(t->priority);
+    if (auto t = h0.try_pop()) got.push_back(t->priority);  // owner refills
+    if (auto t = h1.try_pop()) got.push_back(t->priority);
   }
-  EXPECT_FALSE(smq.try_pop(0).has_value());
+  EXPECT_FALSE(h0.try_pop().has_value());
   std::sort(got.begin(), got.end());
   for (std::uint64_t p = 0; p < 10; ++p) EXPECT_EQ(got[p], p);
 }
 
 TYPED_TEST(SmqTyped, NoStealWhenLocalBetter) {
   TypeParam smq(2, {.steal_size = 1, .p_steal = 1.0});
-  smq.push(0, Task{100, 0});  // victim's visible top: 100
-  smq.push(1, Task{1, 1});    // local top: 1 — better, never steal
-  const auto t = smq.try_pop(1);
+  auto h1 = smq.handle(1);
+  smq.handle(0).push(Task{100, 0});  // victim's visible top: 100
+  h1.push(Task{1, 1});               // local top: 1 — better, never steal
+  const auto t = h1.try_pop();
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->priority, 1u);
   EXPECT_EQ(smq.steals(1), 0u);
@@ -91,20 +96,21 @@ TYPED_TEST(SmqTyped, ConcurrentNoLossNoDuplication) {
     std::vector<std::jthread> workers;
     for (unsigned tid = 0; tid < kThreads; ++tid) {
       workers.emplace_back([&, tid] {
+        auto h = smq.handle(tid);
         std::vector<std::uint64_t> local_seen;
         // Interleave pushes and pops.
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
           const std::uint64_t id = tid * kPerThread + i;
-          smq.push(tid, Task{id, id});
+          h.push(Task{id, id});
           if (i % 3 == 0) {
-            if (auto t = smq.try_pop(tid)) {
+            if (auto t = h.try_pop()) {
               local_seen.push_back(t->payload);
               popped_count.fetch_add(1);
             }
           }
         }
         // Drain phase.
-        while (auto t = smq.try_pop(tid)) {
+        while (auto t = h.try_pop()) {
           local_seen.push_back(t->payload);
           popped_count.fetch_add(1);
         }
@@ -117,7 +123,7 @@ TYPED_TEST(SmqTyped, ConcurrentNoLossNoDuplication) {
   // A lone racing claim can leave a few tasks in a thread's local queue;
   // drain once more from thread 0's perspective.
   for (unsigned tid = 0; tid < kThreads; ++tid) {
-    while (auto t = smq.try_pop(tid)) {
+    while (auto t = smq.handle(tid).try_pop()) {
       std::lock_guard<std::mutex> guard(merge_mutex);
       ++seen[t->payload];
       popped_count.fetch_add(1);
@@ -135,19 +141,21 @@ TYPED_TEST(SmqTyped, StolenBufferConsumedBeforeNewSteals) {
   TypeParam smq(2, {.steal_size = 3, .p_steal = 1.0});
   // The first add publishes a 1-task batch {5}; the owner's first pop
   // reclaims it and republishes the next batch {6, 7} from the heap.
-  smq.push(0, Task{5, 5});
-  smq.push(0, Task{6, 6});
-  smq.push(0, Task{7, 7});
-  ASSERT_EQ(smq.try_pop(0)->priority, 5u);
+  auto h0 = smq.handle(0);
+  auto h1 = smq.handle(1);
+  h0.push(Task{5, 5});
+  h0.push(Task{6, 6});
+  h0.push(Task{7, 7});
+  ASSERT_EQ(h0.try_pop()->priority, 5u);
 
   // Thread 1 steals the batch {6, 7}: first pop returns 6 via a steal,
   // second returns 7 from the local stolen-task buffer, no new steal.
-  auto first = smq.try_pop(1);
+  auto first = h1.try_pop();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->priority, 6u);
   const std::uint64_t steals_before = smq.steals(1);
   ASSERT_GT(steals_before, 0u);
-  auto second = smq.try_pop(1);
+  auto second = h1.try_pop();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->priority, 7u);
   EXPECT_EQ(smq.steals(1), steals_before);

@@ -14,13 +14,14 @@ namespace {
 
 TEST(SprayList, SingleThreadIsExact) {
   SprayList spray(1);
-  for (std::uint64_t p : {5, 2, 8, 1}) spray.push(0, Task{p, p});
+  auto h0 = spray.handle(0);
+  for (std::uint64_t p : {5, 2, 8, 1}) h0.push(Task{p, p});
   for (std::uint64_t expect : {1, 2, 5, 8}) {
-    auto t = spray.try_pop(0);
+    auto t = h0.try_pop();
     ASSERT_TRUE(t.has_value());
     EXPECT_EQ(t->priority, expect);
   }
-  EXPECT_FALSE(spray.try_pop(0).has_value());
+  EXPECT_FALSE(h0.try_pop().has_value());
 }
 
 TEST(SprayList, MultiThreadRelaxedButBounded) {
@@ -28,10 +29,10 @@ TEST(SprayList, MultiThreadRelaxedButBounded) {
   // the mean rank error must stay modest.
   SprayList spray(4, {.seed = 11});
   constexpr std::uint64_t kTasks = 10000;
-  for (std::uint64_t p = 0; p < kTasks; ++p) spray.push(0, Task{p, p});
+  for (std::uint64_t p = 0; p < kTasks; ++p) spray.handle(0).push(Task{p, p});
   std::uint64_t popped = 0;
   double error_sum = 0;
-  while (auto t = spray.try_pop(1)) {
+  while (auto t = spray.handle(1).try_pop()) {
     error_sum += static_cast<double>(
         t->priority > popped ? t->priority - popped : 0);
     ++popped;
@@ -52,21 +53,22 @@ TEST(SprayList, ConcurrentNoLossNoDuplication) {
     std::vector<std::jthread> workers;
     for (unsigned tid = 0; tid < kThreads; ++tid) {
       workers.emplace_back([&, tid] {
+        auto h = spray.handle(tid);
         std::vector<std::uint64_t> local;
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
           const std::uint64_t id = tid * kPerThread + i;
-          spray.push(tid, Task{id, id});
+          h.push(Task{id, id});
           if (i % 2 == 0) {
-            if (auto t = spray.try_pop(tid)) local.push_back(t->payload);
+            if (auto t = h.try_pop()) local.push_back(t->payload);
           }
         }
-        while (auto t = spray.try_pop(tid)) local.push_back(t->payload);
+        while (auto t = h.try_pop()) local.push_back(t->payload);
         std::lock_guard<std::mutex> guard(merge_mutex);
         for (const std::uint64_t id : local) ++seen[id];
       });
     }
   }
-  while (auto t = spray.try_pop(0)) ++seen[t->payload];
+  while (auto t = spray.handle(0).try_pop()) ++seen[t->payload];
   EXPECT_EQ(seen.size(), kThreads * kPerThread);
   for (const auto& [id, count] : seen) {
     ASSERT_EQ(count, 1) << "task " << id;

@@ -9,7 +9,7 @@
 //   smq_run --sched smq --algo sssp --graph rand --threads 8
 //   smq_run --sched all --algo sssp --graph road --vertices 20000
 //           --threads 1,4 --reps 3 --json results.json
-//   smq_run --sched smq,mq-opt --dispatch static --graph-cache /tmp/graphs
+//   smq_run --sched smq,mq-opt --batch-size 64 --graph-cache /tmp/graphs
 //   smq_run --sched smq --algo sssp --numa-grid nodes=1,2,4:k=1,4,8,16
 //   smq_run --suite fig3_6 --threads 4 --json fig3_6.json
 //
@@ -26,16 +26,13 @@
 // every row reports the measured remote-access fraction next to the
 // analytic expectation E.
 //
-// --dispatch selects how the executor crosses the scheduler boundary:
-//   virtual  one AnyScheduler virtual call per push/pop (default)
-//   batched  one virtual call per task batch (--batch-size, default 64)
-//   static   directly instantiated concrete scheduler, no erasure
-//            (hot config families and their presets — see
-//            static_dispatch.h; others fall back to virtual and say so)
+// --batch-size N is the one scheduler-boundary knob: the executor pops
+// up to N tasks per AnyScheduler handle call and publishes children N at
+// a time. Rows are labelled "virtual" at N = 1 (the default) and
+// "batched" above it.
 #include <algorithm>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,7 +43,6 @@
 #include "registry/numa_grid.h"
 #include "registry/scheduler_registry.h"
 #include "registry/service_factory.h"
-#include "registry/static_dispatch.h"
 #include "registry/suite_runner.h"
 #include "registry/suites.h"
 #include "service/service_driver.h"
@@ -65,7 +61,7 @@ std::vector<std::string> known_flags() {
   std::vector<std::string> known = {
       "help",       "h",         "list",      "suite",    "sched",
       "algo",       "graph",     "threads",   "reps",     "json",
-      "no-validate", "dispatch", "batch-size", "numa-grid", "graph-cache",
+      "no-validate", "batch-size", "numa-grid", "graph-cache",
       "service",    "qps",       "queries",   "lanes",    "query-seed",
       "tuning-table"};
   const auto add = [&known](const std::vector<Tunable>& tunables) {
@@ -281,8 +277,7 @@ int run(int argc, char** argv) {
            "[--algo NAME]\n"
            "               [--graph NAME] [--threads N[,N...]] [--reps N] "
            "[--json PATH|-]\n"
-           "               [--no-validate] [--dispatch "
-           "virtual|batched|static] [--batch-size N]\n"
+           "               [--no-validate] [--batch-size N]\n"
            "               [--numa-grid nodes=N,..:k=K,..] "
            "[--graph-cache DIR]\n"
            "               [--tuning-table PATH]\n"
@@ -293,9 +288,9 @@ int run(int argc, char** argv) {
            "prints a table\nplus optional JSON. `--list` shows every "
            "registered scheduler, algorithm,\ngraph source and figure suite "
            "with its tunables. `--suite` expands one of\nthe paper's figure "
-           "sweeps over its scheduler presets. `--dispatch` picks\nthe "
-           "scheduler-boundary mode (virtual erasure, batched erasure, or "
-           "concrete\nstatic instantiation); `--graph-cache DIR` caches "
+           "sweeps over its scheduler presets. `--batch-size N` is\nthe "
+           "scheduler-boundary knob (tasks per handle call; rows read "
+           "\"virtual\" at 1,\n\"batched\" above); `--graph-cache DIR` caches "
            "generated graphs as binary\nCSR keyed by their parameters so "
            "repeated sweeps skip generation;\n`--numa-grid` crosses the "
            "sweep with simulated-NUMA grid points (nodes x K),\neach row "
@@ -325,7 +320,7 @@ int run(int argc, char** argv) {
 
   // ---- service mode ----------------------------------------------------
   // A persistent worker pool serving the query stream; none of the
-  // sweep axes below (dispatch modes, numa grids) apply to it.
+  // sweep axes below (numa grids) apply to it.
   if (args.has_flag("service")) {
     if (args.has_flag("suite") || args.has_flag("numa-grid")) {
       std::cerr << "--service cannot be combined with --suite or "
@@ -357,12 +352,6 @@ int run(int argc, char** argv) {
   }
 
   ParamMap params = ParamMap::from_args(args);
-
-  // ---- dispatch mode ---------------------------------------------------
-  const std::optional<DispatchMode> dispatch =
-      resolve_dispatch_mode(args, params, std::cerr);
-  if (!dispatch) return 2;
-  const DispatchMode mode = *dispatch;
 
   // ---- resolve the three registry axes --------------------------------
   const std::string algo_name = args.get("algo", "sssp");
@@ -459,8 +448,8 @@ int run(int argc, char** argv) {
   std::cout << "graph: " << graph.name << " (" << graph.graph->num_vertices()
             << " vertices, " << graph.graph->num_edges() << " edges)\n"
             << "algorithm: " << algo_name << "\n"
-            << "dispatch: " << to_string(mode);
-  if (mode == DispatchMode::kBatched) {
+            << "dispatch: " << dispatch_label(params);
+  if (params.has("batch-size")) {
     std::cout << " (batch-size " << params.get("batch-size") << ")";
   }
   std::cout << "\n";
@@ -473,7 +462,6 @@ int run(int argc, char** argv) {
   report.algorithm = algo_name;
   report.graph = graph;
   report.params = params;
-  report.dispatch = mode;
   report.numa_grid_spec = numa_grid_spec;
 
   // ---- sequential oracle ----------------------------------------------
@@ -492,22 +480,14 @@ int run(int argc, char** argv) {
   for (const std::string& name : sched_names) {
     if (is_auto_sched(name)) {
       // One table resolution per thread count; the row runs the
-      // resolved preset under whatever dispatch mode was requested
-      // (virtual, batched, or static — same paths as naming it by
-      // hand) and carries the provenance into table/JSON.
+      // resolved preset exactly as if it were named by hand and carries
+      // the provenance into table/JSON.
       for (const unsigned requested : thread_counts) {
         const unsigned want = requested == 0 ? 1 : requested;
         const tuning::AutoSelection sel = tuning::select_scheduler(
             auto_table, auto_origin, auto_fp, algo_name, want);
         const SchedulerEntry* entry =
             SchedulerRegistry::instance().find(sel.preset);
-        DispatchMode row_dispatch = mode;
-        if (row_dispatch == DispatchMode::kStatic &&
-            !has_static_dispatch(sel.preset)) {
-          std::cerr << "note: no static dispatch entry for '" << sel.preset
-                    << "'; running it virtual\n";
-          row_dispatch = DispatchMode::kVirtual;
-        }
         std::cout << tuning::describe_selection(sel, algo_name, want) << "\n";
         SweepRow row;
         row.label = name;
@@ -517,27 +497,15 @@ int run(int argc, char** argv) {
         row.auto_why = sel.why;
         row.requested_threads = requested;
         row.threads = effective_threads(*entry, requested);
-        row.dispatch = row_dispatch;
         row.reps = std::max(1, reps);
-        row.result =
-            measure_sweep_row(*entry, sel.preset, *algo, algo_name, graph,
-                              row.threads, params, row_dispatch,
-                              report.reference, reps);
+        row.result = measure_sweep_row(*entry, *algo, graph, row.threads,
+                                       params, report.reference, reps);
         if (row.result.validated && !row.result.valid) any_invalid = true;
         report.rows.push_back(std::move(row));
       }
       continue;
     }
     const SchedulerEntry* entry = SchedulerRegistry::instance().find(name);
-    // Static dispatch covers the hot config families (and their presets)
-    // only; anything else keeps its uniform virtual path (and the row
-    // says so).
-    DispatchMode row_dispatch = mode;
-    if (row_dispatch == DispatchMode::kStatic && !has_static_dispatch(name)) {
-      std::cerr << "note: no static dispatch entry for '" << name
-                << "'; running it virtual\n";
-      row_dispatch = DispatchMode::kVirtual;
-    }
     // Schedulers that do not take the `numa` tunable (their factories
     // ignore it) run once, not once per grid point — rows claiming a
     // topology that never applied would poison the trajectory.
@@ -566,7 +534,6 @@ int run(int argc, char** argv) {
         row.scheduler = name;
         row.requested_threads = requested;
         row.threads = threads;
-        row.dispatch = row_dispatch;
         row.numa = apply_grid ? point : NumaGridPoint{};
         // The topology clamps nodes to the thread count (no empty
         // nodes); report the configuration that actually ran, so the
@@ -574,9 +541,8 @@ int run(int argc, char** argv) {
         if (row.numa.nodes > threads) row.numa.nodes = threads;
         row.numa_grid = apply_grid;
         row.reps = std::max(1, reps);
-        row.result =
-            measure_sweep_row(*entry, name, *algo, algo_name, graph, threads,
-                              run_params, row_dispatch, report.reference, reps);
+        row.result = measure_sweep_row(*entry, *algo, graph, threads,
+                                       run_params, report.reference, reps);
         if (row.result.validated && !row.result.valid) any_invalid = true;
         report.rows.push_back(std::move(row));
       }
