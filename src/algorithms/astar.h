@@ -9,7 +9,9 @@
 // the search frontier is explored beyond the optimum.
 #pragma once
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "algorithms/relax.h"
@@ -35,11 +37,47 @@ class EquirectangularHeuristic {
     return static_cast<std::uint64_t>(std::sqrt(dx * dx + dy * dy) * scale_);
   }
 
+  VertexId target() const noexcept { return target_; }
+
  private:
   const Coordinates* coords_;
   VertexId target_;
   double scale_;
 };
+
+/// The A* task body of parallel_astar and the query service: expand `v`
+/// popped at f = g(v) + h(v) over `labels` (DistanceArray, or a
+/// VersionedLabels::View), handing each improved neighbour `u` whose f
+/// can beat the incumbent `best_target` to `push(u, f)`. Returns false
+/// when the task is wasted (g(v) improved since, or f cannot win).
+/// Forced inline: GCC otherwise emits it out of line for both callers,
+/// whereas the per-caller bodies it replaced were inlined into their
+/// worker loops, and astar-service drained ~5% slower that way.
+template <typename Labels, typename Push>
+[[gnu::always_inline]] inline bool astar_expand(const Graph& graph, const EquirectangularHeuristic& h,
+                  Labels& labels, std::atomic<std::uint64_t>& best_target,
+                  VertexId v, std::uint64_t f, Push&& push) {
+  // Recover g from f: h(v) is deterministic per vertex.
+  const std::uint64_t g = f - h(v);
+  if (labels.load(v) < g || f >= best_target.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  for (const Graph::Neighbor& n : graph.neighbors(v)) {
+    const std::uint64_t ng = g + n.weight;
+    if (!labels.relax_min(n.to, ng)) continue;
+    if (n.to == h.target()) {
+      // CAS-min the incumbent; no push needed for the target.
+      std::uint64_t cur = best_target.load(std::memory_order_relaxed);
+      while (ng < cur && !best_target.compare_exchange_weak(
+                             cur, ng, std::memory_order_relaxed)) {
+      }
+      continue;
+    }
+    const std::uint64_t nf = ng + h(n.to);
+    if (nf < best_target.load(std::memory_order_relaxed)) push(n.to, nf);
+  }
+  return true;
+}
 
 struct AStarResult {
   std::uint64_t distance = DistanceArray::kUnreached;
@@ -60,32 +98,11 @@ AStarResult parallel_astar(const Graph& graph, VertexId source,
   RunResult run = run_parallel(
       sched, std::span<const Task>(&seed, 1),
       [&](Task task, auto& ctx) {
-        const auto v = static_cast<VertexId>(task.payload);
-        // Recover g from f: h(v) is deterministic per vertex.
-        const std::uint64_t f = task.priority;
-        const std::uint64_t g = f - h(v);
-        if (g_val.load(v) < g ||
-            f >= best_target.load(std::memory_order_relaxed)) {
-          ctx.mark_wasted();
-          return;
-        }
-        for (const Graph::Neighbor& n : graph.neighbors(v)) {
-          const std::uint64_t ng = g + n.weight;
-          if (!g_val.relax_min(n.to, ng)) continue;
-          if (n.to == target) {
-            // CAS-min the incumbent; no push needed for the target.
-            std::uint64_t cur = best_target.load(std::memory_order_relaxed);
-            while (ng < cur &&
-                   !best_target.compare_exchange_weak(
-                       cur, ng, std::memory_order_relaxed)) {
-            }
-            continue;
-          }
-          const std::uint64_t nf = ng + h(n.to);
-          if (nf < best_target.load(std::memory_order_relaxed)) {
-            ctx.push(Task{nf, n.to});
-          }
-        }
+        const bool useful = astar_expand(
+            graph, h, g_val, best_target, static_cast<VertexId>(task.payload),
+            task.priority,
+            [&](VertexId u, std::uint64_t f) { ctx.push(Task{f, u}); });
+        if (!useful) ctx.mark_wasted();
       },
       num_threads, exec);
 

@@ -93,11 +93,8 @@ class TaskContext {
   std::size_t capacity_;
 };
 
-/// Per-thread scratch of the worker loop (pop batch + push buffer),
-/// cache-padded as an array slot so neighbouring threads' buffer headers
-/// never false-share. Shared with the service worker loop
-/// (service/scheduler_service.h), which runs the same protocol on a
-/// persistent pool.
+/// Per-thread scratch of the worker loop (pop batch + push buffer);
+/// run_parallel pads each so neighbouring threads never false-share.
 struct WorkerBuffers {
   std::vector<Task> pop;   // tasks taken from the scheduler this round
   std::vector<Task> push;  // children awaiting the next flush
@@ -105,20 +102,25 @@ struct WorkerBuffers {
 
 namespace detail {
 
-/// The worker loop. Children first, then retire the executed work. The
-/// executed tasks' pending counts cover their still-buffered children, so
-/// the counter cannot dip to zero while work sits in this thread's
-/// buffer. fetch_sub and fetch_add hit the same atomic, so the counter's
-/// modification order alone rules out a phantom zero; the acq_rel on the
-/// sub is what hands a release edge to the thread that finally observes
-/// zero with its acquire load. On an empty pop, everything this thread
-/// still buffers (context push buffer, scheduler-internal insert buffers)
-/// must be published through the handle before the counter read is
-/// allowed to conclude the system has drained.
-template <SchedulerHandle H, typename Fn>
+/// The worker loop of run_parallel and the query service. Children first,
+/// then retire the executed work. The executed tasks' pending counts
+/// cover their still-buffered children, so the counter cannot dip to zero
+/// while work sits in this thread's buffer. fetch_sub and fetch_add hit
+/// the same atomic, so the counter's modification order alone rules out a
+/// phantom zero; the acq_rel on the sub is what hands a release edge to
+/// the thread that finally observes zero with its acquire load. On an
+/// empty pop, everything this thread still buffers (context push buffer,
+/// scheduler-internal insert buffers) must be published through the
+/// handle before anyone may read the counter to conclude the system has
+/// drained.
+///
+/// The callers differ only in `hooks`: retire(batch, ctx) runs between
+/// the flush and the fetch_sub, idle(backoff, ctx) after both flushes on
+/// an empty pop (false exits); both publish new tasks through `ctx`.
+template <SchedulerHandle H, typename Fn, typename Hooks>
 void worker_loop(H& handle, std::atomic<std::int64_t>& pending,
                  ThreadStats& stats, Fn& fn, std::size_t batch_size,
-                 WorkerBuffers& bufs) {
+                 WorkerBuffers& bufs, Hooks& hooks) {
   TaskContext<H> ctx(handle, pending, stats, bufs.push, batch_size);
   bufs.pop.reserve(batch_size);
   Backoff backoff;
@@ -130,22 +132,36 @@ void worker_loop(H& handle, std::atomic<std::int64_t>& pending,
       stats.pops += taken;
       for (std::size_t i = 0; i < bufs.pop.size(); ++i) fn(bufs.pop[i], ctx);
       ctx.flush();  // children visible before their parents retire
+      hooks.retire(std::span<const Task>(bufs.pop), ctx);
       pending.fetch_sub(static_cast<std::int64_t>(taken),
                         std::memory_order_acq_rel);
       continue;
     }
     ++stats.empty_pops;
     // Nothing popped: publish our buffered children and the scheduler's
-    // buffered inserts before trusting the counter.
+    // buffered inserts before the hook may trust the counter.
     ctx.flush();
     handle.flush();
-    if (pending.load(std::memory_order_acquire) == 0) return;
+    if (!hooks.idle(backoff, ctx)) return;
+  }
+}
+
+/// run_parallel's hooks: nothing to retire beyond the global counter, and
+/// an idle worker exits once that counter has drained.
+struct DrainHooks {
+  const std::atomic<std::int64_t>& pending;
+  template <typename Ctx>
+  void retire(std::span<const Task>, Ctx&) noexcept {}
+  template <typename Ctx>
+  bool idle(Backoff& backoff, Ctx&) {
+    if (pending.load(std::memory_order_acquire) == 0) return false;
     backoff.pause();
     // Oversubscribed pools (threads > cores) must hand the core to
     // whoever holds the tasks instead of burning the timeslice.
     std::this_thread::yield();
+    return true;
   }
-}
+};
 
 }  // namespace detail
 
@@ -182,8 +198,9 @@ RunResult run_parallel(S& sched, std::span<const Task> initial, Fn fn,
   std::vector<Padded<WorkerBuffers>> buffers(num_threads);
   auto work = [&](unsigned tid) {
     auto handle = sched.handle(tid);
+    detail::DrainHooks hooks{pending};
     detail::worker_loop(handle, pending, stats.of(tid), fn, batch_size,
-                        buffers[tid].value);
+                        buffers[tid].value, hooks);
   };
 
   Timer timer;

@@ -4,8 +4,8 @@
 //
 // A query runs A* when the graph carries coordinates (the road
 // generator's), and degrades to point-to-point Dijkstra otherwise —
-// the same formulation as algorithms/astar.h, multiplexed over one
-// shared immutable CSR instead of owning the machine for one run.
+// the same kernel as algorithms/astar.h, multiplexed over one shared
+// immutable CSR instead of owning the machine for one run.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +44,6 @@ struct ServiceOptions {
   /// Executor batch size per worker: tasks popped per handle call and
   /// pushes buffered per flush. 1 = one handle call per task.
   std::size_t batch_size = 8;
-  /// Drive queries as A* with the equirectangular heuristic when the
-  /// graph has coordinates; false forces plain Dijkstra.
-  bool use_heuristic = true;
   /// Heuristic scale (the graph source's weight-per-unit-distance).
   double weight_scale = 100.0;
 };

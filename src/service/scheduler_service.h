@@ -12,16 +12,22 @@
 // "lane": an epoch-versioned label array (versioned_labels.h) plus the
 // query's control block, so starting a query is O(1), not O(V).
 //
-// Concurrency protocol, layered over the executor's:
-//  * Global termination counter `pending_` works exactly as in
-//    worker_loop: count before visible, retire after flush. Here it
-//    never signals exit (the pool is long-lived) — it gates *parking*:
-//    a worker may only park when a flush-then-check sees zero.
-//  * Each query's Job carries its own pending count (seed = 1; children
-//    counted before they are buffered, parents retired only after the
-//    batch flush). The worker that retires a job's last task completes
-//    the query: reads the result off the lane, records latency, frees
-//    the lane, fulfils the promise.
+// Concurrency protocol: tasks run the batch A* kernel (astar_expand,
+// algorithms/astar.h) over the query's lane, inside the executor's own
+// worker loop (detail::worker_loop, sched/executor.h), so the
+// count-before-visible and flush-before-retire rules exist once. The
+// service's behaviour lives in that loop's two hooks:
+//  * Idle hook. The global counter `pending_` works exactly as in
+//    run_parallel but never signals exit (the pool is long-lived): an
+//    idle worker admits if it can, backs off while pending_ != 0, parks
+//    at zero, and exits only once stopped with nothing queued or in
+//    flight.
+//  * Retire hook. Each query's Job carries its own pending count (seed =
+//    1; children counted before they are buffered), retired after the
+//    batch flush and before the global decrement. The worker that
+//    retires a job's last task completes the query (reads the result off
+//    the lane, records latency, frees the lane, fulfils the promise) and
+//    refills the freed lane from the admission queue.
 //  * Admission is worker-side only. submit() enqueues under the mutex
 //    and wakes the pool; a worker with nothing to pop claims queued
 //    queries for free lanes and seeds them through its own handle's
@@ -37,9 +43,7 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -51,6 +55,7 @@
 #include <utility>
 #include <vector>
 
+#include "algorithms/astar.h"
 #include "graph/graph.h"
 #include "sched/executor.h"
 #include "sched/scheduler_traits.h"
@@ -77,7 +82,6 @@ class SchedulerService final : public QueryService {
       : graph_(std::move(graph)),
         workers_(workers == 0 ? 1 : workers),
         opts_(normalize(opts, workers_)),
-        use_heuristic_(opts_.use_heuristic && !graph_->coordinates().empty()),
         sched_(std::forward<SchedArgs>(sched_args)...),
         stats_(workers_) {
     const std::size_t vertices = graph_->num_vertices();
@@ -138,33 +142,24 @@ class SchedulerService final : public QueryService {
     }
     auto job = std::make_shared<Job>(q);
     QueryTicket ticket = job->promise.get_future();
-    if (q.source == q.target) {
-      // Degenerate query: answer immediately instead of flooding the
-      // scheduler with a search whose incumbent can never prune.
-      {
-        MutexLock lk(mutex_);
-        if (!accepting_) {
-          throw std::runtime_error("SchedulerService: submit after stop");
-        }
-      }
-      QueryResult r;
-      r.distance = 0;
-      r.latency_seconds =
-          std::chrono::duration<double>(Clock::now() - job->submitted).count();
-      latency_.record_seconds(r.latency_seconds);
-      queries_completed_.fetch_add(1, std::memory_order_relaxed);
-      job->promise.set_value(r);
-      return ticket;
-    }
+    const bool search = q.source != q.target;
     {
       MutexLock lk(mutex_);
       if (!accepting_) {
         throw std::runtime_error("SchedulerService: submit after stop");
       }
-      queue_.push_back(std::move(job));
-      queued_.fetch_add(1, std::memory_order_relaxed);
+      if (search) {
+        queue_.push_back(job);
+        queued_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
-    cv_.notify_all();
+    if (search) {
+      cv_.notify_all();
+    } else {
+      // Degenerate query: answer immediately instead of flooding the
+      // scheduler with a search whose incumbent can never prune.
+      finish(*job, QueryResult{.distance = 0});
+    }
     return ticket;
   }
 
@@ -219,11 +214,6 @@ class SchedulerService final : public QueryService {
     std::shared_ptr<Job> owner;
   };
 
-  struct Completion {
-    std::shared_ptr<Job> job;
-    QueryResult result;
-  };
-
   static ServiceOptions normalize(ServiceOptions o, unsigned workers) {
     if (o.lanes == 0) o.lanes = 2 * workers;
     if (o.batch_size == 0) o.batch_size = 1;
@@ -240,160 +230,130 @@ class SchedulerService final : public QueryService {
     return static_cast<VertexId>(payload);
   }
 
-  /// Admissible heuristic toward `target` (astar.h's formulation); 0
-  /// without coordinates, degrading the search to p2p Dijkstra.
-  std::uint64_t heuristic(VertexId v, VertexId target) const noexcept {
-    if (!use_heuristic_) return 0;
-    const Coordinates& c = graph_->coordinates();
-    const double dx = c.x[v] - c.x[target];
-    const double dy = c.y[v] - c.y[target];
-    return static_cast<std::uint64_t>(std::sqrt(dx * dx + dy * dy) *
-                                      opts_.weight_scale);
-  }
+  /// One worker's detail::worker_loop hooks, with its admission scratch.
+  struct WorkerHooks {
+    SchedulerService& service;
+    std::vector<Task> seeds{};
 
-  void worker(unsigned tid) {
-    auto handle = sched_.handle(tid);
-    service_loop(handle, stats_.of(tid));
-  }
+    /// The batch's children are flushed and pending_ still covers the
+    /// batch: retire each task against its job, and refill at once any
+    /// lane a finished query freed.
+    template <typename Ctx>
+    void retire(std::span<const Task> batch, Ctx& ctx) {
+      bool freed = false;
+      for (const Task& t : batch) freed |= service.retire_task(t);
+      if (freed) service.try_admit(ctx, seeds);
+    }
 
-  template <typename H>
-  void service_loop(H& handle, ThreadStats& stats) {
-    WorkerBuffers bufs;
-    const std::size_t batch = opts_.batch_size;
-    TaskContext<H> ctx(handle, pending_, stats, bufs.push, batch);
-    bufs.pop.reserve(batch);
-    Backoff backoff;
-    std::vector<Task> seeds;
-    std::vector<Completion> done;
-    while (true) {
-      bufs.pop.clear();
-      const std::size_t taken = handle.try_pop_batch(bufs.pop, batch);
-      if (taken > 0) {
-        backoff.reset();
-        stats.pops += taken;
-        for (const Task& t : bufs.pop) execute_task(t, ctx);
-        // Children first (flush), then retire — a job's pending count
-        // must cover its still-buffered children, and the global
-        // counter must cover every lane until its tasks are retired.
-        ctx.flush();
-        for (const Task& t : bufs.pop) retire_task(t, done);
-        pending_.fetch_sub(static_cast<std::int64_t>(taken),
-                           std::memory_order_acq_rel);
-        if (!done.empty()) {
-          for (Completion& c : done) c.job->promise.set_value(c.result);
-          done.clear();
-          try_admit(handle, stats, seeds);  // reuse the freed lanes now
-        }
-        continue;
-      }
-      ++stats.empty_pops;
-      // Publish buffered children and scheduler-internal inserts before
-      // trusting the pending counter (the executor's rule).
-      ctx.flush();
-      handle.flush();
-      if (try_admit(handle, stats, seeds)) continue;
-      if (pending_.load(std::memory_order_acquire) != 0) {
+    /// Nothing popped and everything buffered published: admit, back
+    /// off while work is in flight elsewhere, or park.
+    template <typename Ctx>
+    bool idle(Backoff& backoff, Ctx& ctx) {
+      if (service.try_admit(ctx, seeds)) return true;
+      if (service.pending_.load(std::memory_order_acquire) != 0) {
         backoff.pause();
         std::this_thread::yield();
-        continue;
+        return true;
       }
-      // Nothing runnable and nothing admissible: park. The wait
-      // predicate mirrors every wake source — shutdown, new in-flight
-      // work, or an admissible (queued query x free lane) pair — and is
-      // written as an inline loop (not a wait(lk, pred) lambda) so the
-      // thread-safety analysis sees the guarded reads under the held
-      // capability.
-      //
       // Parking is the reclamation quiesce point: with no epoch guard
       // held, let the scheduler advance its epoch and drain this
       // thread's retire list, so memory from the last burst is
       // reclaimed even if the service then sits idle.
-      quiesce_if_supported(sched_, handle.thread_id());
-      {
-        MutexLock lk(mutex_);
-        while (!(stop_ || pending_.load(std::memory_order_acquire) != 0 ||
-                 (!queue_.empty() && !free_lanes_.empty()))) {
-          cv_.wait(lk);
-        }
-        if (stop_ && queue_.empty() &&
-            pending_.load(std::memory_order_acquire) == 0) {
-          return;
-        }
-      }
+      quiesce_if_supported(service.sched_, ctx.thread_id());
+      if (!service.park()) return false;
       backoff.reset();
+      return true;
     }
+  };
+
+  void worker(unsigned tid) {
+    auto handle = sched_.handle(tid);
+    WorkerBuffers bufs;
+    WorkerHooks hooks{*this};
+    auto fn = [this](const Task& t, auto& ctx) { execute_task(t, ctx); };
+    detail::worker_loop(handle, pending_, stats_.of(tid), fn,
+                        opts_.batch_size, bufs, hooks);
+  }
+
+  /// Block until there is in-flight work, an admissible (queued query x
+  /// free lane) pair, or shutdown; false means exit (stopped, nothing
+  /// queued or in flight). The predicate is an inline loop, not a
+  /// wait(lk, pred) lambda, so the thread-safety analysis sees the
+  /// guarded reads under the held capability.
+  bool park() {
+    MutexLock lk(mutex_);
+    while (!(stop_ || pending_.load(std::memory_order_acquire) != 0 ||
+             (!queue_.empty() && !free_lanes_.empty()))) {
+      cv_.wait(lk);
+    }
+    return !(stop_ && queue_.empty() &&
+             pending_.load(std::memory_order_acquire) == 0);
   }
 
   template <typename Ctx>
   void execute_task(const Task& task, Ctx& ctx) {
     const unsigned lane_id = lane_of(task.payload);
-    const VertexId v = vertex_of(task.payload);
     Lane& lane = *lanes_[lane_id];
     // Never null: an in-scheduler task keeps its job's pending > 0,
     // which blocks completion (and lane reuse) until it retires.
     Job* job = lane.job.load(std::memory_order_acquire);
-    const std::uint64_t f = task.priority;
-    const std::uint64_t g = f - heuristic(v, job->query.target);
-    if (lane.labels.load(v, job->epoch) < g ||
-        f >= job->best_target.load(std::memory_order_relaxed)) {
+    // 0 without coordinates: the search degrades to p2p Dijkstra.
+    const EquirectangularHeuristic h(*graph_, job->query.target,
+                                     opts_.weight_scale);
+    VersionedLabels::View labels{lane.labels, job->epoch};
+    const bool useful = astar_expand(
+        *graph_, h, labels, job->best_target, vertex_of(task.payload),
+        task.priority,
+        [&](VertexId u, std::uint64_t f) {
+          job->pending.fetch_add(1, std::memory_order_relaxed);
+          ctx.push(Task{f, payload_of(lane_id, u)});
+        });
+    if (!useful) {
       ctx.mark_wasted();
       job->wasted.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    for (const Graph::Neighbor& n : graph_->neighbors(v)) {
-      const std::uint64_t ng = g + n.weight;
-      if (!lane.labels.relax_min(n.to, ng, job->epoch)) continue;
-      if (n.to == job->query.target) {
-        // CAS-min the incumbent; the target itself is never pushed.
-        std::uint64_t cur = job->best_target.load(std::memory_order_relaxed);
-        while (ng < cur && !job->best_target.compare_exchange_weak(
-                               cur, ng, std::memory_order_relaxed)) {
-        }
-        continue;
-      }
-      const std::uint64_t nf = ng + heuristic(n.to, job->query.target);
-      if (nf < job->best_target.load(std::memory_order_relaxed)) {
-        job->pending.fetch_add(1, std::memory_order_relaxed);
-        ctx.push(Task{nf, payload_of(lane_id, n.to)});
-      }
     }
   }
 
-  void retire_task(const Task& task, std::vector<Completion>& done) {
+  /// Retire one executed task against its job; true when it was the
+  /// job's last, which completes the query: harvest the result off the
+  /// lane *before* the lane goes back on the free list (a new admission
+  /// bumps the epoch, invalidating the labels this query wrote), then
+  /// fulfil the promise.
+  bool retire_task(const Task& task) {
     Lane& lane = *lanes_[lane_of(task.payload)];
-    Job* job = lane.job.load(std::memory_order_acquire);
-    job->executed.fetch_add(1, std::memory_order_relaxed);
-    if (job->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      done.push_back(complete_query(lane, *job));
-    }
-  }
-
-  /// Last task retired: harvest the result off the lane *before* the
-  /// lane goes back on the free list (a new admission bumps the epoch,
-  /// invalidating the labels this query wrote).
-  Completion complete_query(Lane& lane, Job& job) {
-    Completion c;
-    c.result.distance = lane.labels.load(job.query.target, job.epoch);
-    c.result.tasks = job.executed.load(std::memory_order_relaxed);
-    c.result.wasted = job.wasted.load(std::memory_order_relaxed);
-    c.result.latency_seconds =
-        std::chrono::duration<double>(Clock::now() - job.submitted).count();
-    latency_.record_seconds(c.result.latency_seconds);
-    queries_completed_.fetch_add(1, std::memory_order_relaxed);
+    Job& job = *lane.job.load(std::memory_order_acquire);
+    job.executed.fetch_add(1, std::memory_order_relaxed);
+    if (job.pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return false;
+    QueryResult r;
+    r.distance = lane.labels.load(job.query.target, job.epoch);
+    r.tasks = job.executed.load(std::memory_order_relaxed);
+    r.wasted = job.wasted.load(std::memory_order_relaxed);
+    std::shared_ptr<Job> owner;  // keeps `job` alive past the lane's release
     {
       MutexLock lk(mutex_);
       lane.job.store(nullptr, std::memory_order_relaxed);
-      c.job = std::move(lane.owner);
+      owner = std::move(lane.owner);
       free_lanes_.push_back(job.lane);
     }
-    return c;
+    finish(*owner, r);
+    return true;
+  }
+
+  /// Stamp the submit-to-completion latency, count the query and fulfil
+  /// its promise.
+  void finish(Job& job, QueryResult r) {
+    r.latency_seconds =
+        std::chrono::duration<double>(Clock::now() - job.submitted).count();
+    latency_.record_seconds(r.latency_seconds);
+    queries_completed_.fetch_add(1, std::memory_order_relaxed);
+    job.promise.set_value(r);
   }
 
   /// Claim queued queries for free lanes and seed them through this
-  /// worker's handle. try_to_lock: admission is an optimization on the
-  /// idle path; blocking every idle worker on one mutex is not.
-  template <typename H>
-  bool try_admit(H& handle, ThreadStats& stats, std::vector<Task>& seeds) {
+  /// worker's task context. try_to_lock: admission is an optimization on
+  /// the idle path; blocking every idle worker on one mutex is not.
+  template <typename Ctx>
+  bool try_admit(Ctx& ctx, std::vector<Task>& seeds) {
     if (queued_.load(std::memory_order_relaxed) == 0) return false;
     seeds.clear();
     // Explicit try_lock/unlock (rather than a scoped guard) so the
@@ -410,19 +370,18 @@ class SchedulerService final : public QueryService {
       job->epoch = lane.labels.new_epoch();
       lane.labels.store(job->query.source, 0, job->epoch);
       job->pending.store(1, std::memory_order_relaxed);
-      seeds.push_back(Task{heuristic(job->query.source, job->query.target),
-                           payload_of(lane_id, job->query.source)});
+      const EquirectangularHeuristic h(*graph_, job->query.target,
+                                       opts_.weight_scale);
+      seeds.push_back(
+          Task{h(job->query.source), payload_of(lane_id, job->query.source)});
       Job* raw = job.get();
       lane.owner = std::move(job);
       lane.job.store(raw, std::memory_order_release);
     }
     mutex_.unlock();
     if (seeds.empty()) return false;
-    // Counter before visibility, exactly like TaskContext::flush.
-    stats.pushes += seeds.size();
-    pending_.fetch_add(static_cast<std::int64_t>(seeds.size()),
-                       std::memory_order_relaxed);
-    handle.push_batch(std::span<const Task>(seeds));
+    for (const Task& t : seeds) ctx.push(t);
+    ctx.flush();
     wake_all();
     return true;
   }
@@ -439,7 +398,6 @@ class SchedulerService final : public QueryService {
   std::shared_ptr<const Graph> graph_;
   const unsigned workers_;
   const ServiceOptions opts_;
-  const bool use_heuristic_;
   S sched_;
   StatsRegistry stats_;
   LatencyHistogram latency_;

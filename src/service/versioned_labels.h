@@ -48,8 +48,18 @@ class VersionedLabels {
 
   std::size_t size() const noexcept { return size_; }
 
-  /// The epoch most recently issued (0 before the first new_epoch()).
-  std::uint64_t epoch() const noexcept { return epoch_; }
+  /// One epoch's labels with DistanceArray's load(v) / relax_min(v, d)
+  /// shape, so the A* kernel (algorithms/astar.h) runs over a lane.
+  struct View {
+    VersionedLabels& labels;
+    std::uint64_t epoch;
+    std::uint64_t load(std::size_t v) const noexcept {
+      return labels.load(v, epoch);
+    }
+    bool relax_min(std::size_t v, std::uint64_t dist) noexcept {
+      return labels.relax_min(v, dist, epoch);
+    }
+  };
 
   /// Issue a fresh epoch, logically resetting every slot to kUnreached.
   /// Serialized by the caller; never returns 0.

@@ -11,6 +11,7 @@
 
 #include "algorithms/astar.h"
 #include "graph/generators.h"
+#include "queues/sequential_scheduler.h"
 #include "registry/graph_registry.h"
 #include "registry/params.h"
 #include "registry/service_factory.h"
@@ -272,6 +273,35 @@ TEST(SchedulerServiceQueries, DijkstraFallbackWithoutCoordinates) {
     EXPECT_EQ(service->run(q).distance, ref.distance);
   }
   service->stop();
+}
+
+TEST(SchedulerServiceQueries, OneWorkerRunsTheBatchAStarKernel) {
+  // The service and parallel_astar share one A* kernel and one worker
+  // loop. Under the exact sequential scheduler, one worker and one thread,
+  // every query must take the same path through both: same distance,
+  // same executed and wasted task counts.
+  const GraphInstance gi = road_instance(3000, /*seed=*/21);
+  const std::vector<Query> queries = make_query_set(gi, 20, /*seed=*/5);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
+    SchedulerService<SequentialScheduler> service(
+        gi.graph, 1,
+        ServiceOptions{.batch_size = batch, .weight_scale = gi.weight_scale});
+    for (const Query& q : queries) {
+      if (q.source == q.target) continue;  // answered without a search
+      const QueryResult got = service.run(q);
+      SequentialScheduler sched;
+      const AStarResult ref =
+          parallel_astar(*gi.graph, q.source, q.target, sched, 1,
+                         gi.weight_scale, ExecutorOptions{.batch_size = batch});
+      EXPECT_EQ(got.distance, ref.distance)
+          << "batch=" << batch << " query " << q.source << "->" << q.target;
+      EXPECT_EQ(got.tasks, ref.run.stats.pops)
+          << "batch=" << batch << " query " << q.source << "->" << q.target;
+      EXPECT_EQ(got.wasted, ref.run.stats.wasted)
+          << "batch=" << batch << " query " << q.source << "->" << q.target;
+    }
+    service.stop();
+  }
 }
 
 // ---- driver plumbing -------------------------------------------------------

@@ -13,7 +13,8 @@ Encodes the repo conventions that generic tooling cannot check:
            epoch-retireable nodes) must sit lexically inside an
            EpochManager::Guard scope, inside another SMQ_REQUIRES_PIN
            function, or carry a `// smq-lint: no-pin <reason>` waiver.
-           Only files mentioning EpochManager are checked.
+           Only files naming EpochManager in code (not in comments or
+           strings) are checked.
   pad      per-thread state stored in an array sized by num_threads must
            be cacheline-padded (Padded<T> / alignas). Waiver:
            `// smq-lint: no-pad <reason>`.
@@ -321,7 +322,9 @@ def lint_file(src: SourceFile, global_atomics: set, pin_marked_names: set,
                     "`// smq-lint: seq-cst <reason>` waiver"))
 
     # --- pin: marked calls need a Guard scope --------------------------
-    if "EpochManager" in src.text and pin_marked_names:
+    # Gate on code, not prose: a comment naming EpochManager must not
+    # switch the rule on for every `find(`/`insert(` in the file.
+    if "EpochManager" in masked and pin_marked_names:
         defs = find_pin_marked(src)
         def_spans = [(start, end) for (_n, start, end) in defs]
         guard_spans = []
